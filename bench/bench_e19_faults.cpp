@@ -14,7 +14,7 @@
 //   2. a compound regime (blackout strip + independent link fade + crashes)
 //      with the per-cause edge-loss accounting;
 //   3. epoch survival: a DynamicHng absorbs a crash wave and a rejoin wave
-//      while an `EpochQueryEngine` follows via journal replay — every
+//      while an `EpochQueryEngine` follows by snapshot refresh — every
 //      served batch is checked against exact Dijkstra on the epoch
 //      snapshot, and the run *fails* (exit 1) on any uncertified wrong
 //      answer or on an epoch snapshot that diverges from the maintainer.
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   const double fmax = cli.get("fmax", 0.5);
   env.header("E19 / fault injection: degradation and epoch survival",
              "sparse power-efficient topologies degrade gracefully under node, region and "
-             "link failures, and a journal-following serving epoch survives churn with zero "
+             "link failures, and a snapshot-following serving epoch survives churn with zero "
              "uncertified wrong answers (DESIGN.md 2.9)");
 
   const int tiles = env.scale > 1 ? 24 : 14;
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
            comp);
 
   // --- 3. epoch survival under churn ----------------------------------------
-  // The maintainer churns; the engine follows by journal replay and must
+  // The maintainer churns; the engine follows by snapshot refresh and must
   // never serve an uncertified wrong answer (contract asserted per batch).
   DynamicHng dyn(r.points.points, hng_params, env.seed);
   const std::size_t n_pre = dyn.size();
@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   std::vector<Verdict> verdicts(queries.size());
 
   Table refresh_t({"wave", "generation", "deltas applied", "landmarks demoted",
-                   "landmarks recruited", "resynced", "snapshot == maintainer"});
+                   "landmarks recruited", "snapshot == maintainer"});
   Table serve_t({"phase", "generation", "nodes", "queries", "exact", "certified",
                  "disconnected", "stale", "uncertified wrong"});
   std::size_t total_violations = 0;
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
                      Table::fmt_int(static_cast<long long>(r1.deltas_applied)),
                      Table::fmt_int(static_cast<long long>(r1.landmarks_demoted)),
                      Table::fmt_int(static_cast<long long>(r1.landmarks_recruited)),
-                     r1.resynced ? "yes" : "no", snap_ok ? "yes" : "NO"});
+                     snap_ok ? "yes" : "NO"});
   if (!snap_ok) {
     std::cerr << "error: epoch snapshot diverged from the maintainer after the crash wave\n";
     return 1;
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
                      Table::fmt_int(static_cast<long long>(r2.deltas_applied)),
                      Table::fmt_int(static_cast<long long>(r2.landmarks_demoted)),
                      Table::fmt_int(static_cast<long long>(r2.landmarks_recruited)),
-                     r2.resynced ? "yes" : "no", snap_ok ? "yes" : "NO"});
+                     snap_ok ? "yes" : "NO"});
   if (!snap_ok) {
     std::cerr << "error: epoch snapshot diverged from the maintainer after the rejoin wave\n";
     return 1;
@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
   const double rebuild_ms = step_timer.millis();
   (void)rebuilt;
 
-  env.emit("epoch refresh work (journal replay, never a wholesale rebuild; pivots demoted "
+  env.emit("epoch refresh work (a copy of the maintainer's overlay; pivots demoted "
            "only when their slot vanished)",
            refresh_t);
   env.emit("served batches with verdicts (every answer exact, certified within stretch "

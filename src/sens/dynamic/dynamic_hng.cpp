@@ -1,7 +1,11 @@
 #include "sens/dynamic/dynamic_hng.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "sens/obs/obs.hpp"
 
 namespace sens {
 
@@ -20,6 +24,14 @@ bool sorted_contains(const std::vector<std::uint32_t>& v, std::uint32_t x) {
   return std::binary_search(v.begin(), v.end(), x);
 }
 
+void require_finite(Vec2 p) {
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+    throw std::invalid_argument("DynamicHng: point coordinates must be finite");
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
@@ -32,6 +44,7 @@ DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
 
 DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed)
     : DynamicHng(params, seed) {
+  for (const Vec2 p : points) require_finite(p);
   points_.reserve(points.size());
   for (const Vec2 p : points) insert(p);
 }
@@ -61,28 +74,30 @@ void DynamicHng::flush_recompute() {
     if (alive_[w]) {
       compute_selection(w, fresh_sel_);
       set_selection(w, fresh_sel_);
+      ++last_.recomputes;
     }
     in_recompute_[w] = 0;
   }
   recompute_.clear();
 }
 
+/// Every live node of exact level l, into `out` (unordered).
+void DynamicHng::level_members(std::uint32_t l, std::vector<std::uint32_t>& out) {
+  out.clear();
+  exact_level(l).within_into(Vec2{}, kInf, out);
+}
+
 /// The batch linking rule for one node, against the *current* live
-/// structure: clique membership for top nodes (everyone when top < 2),
-/// otherwise a k-NN query into S_{l+1} — ids ascending.
+/// structure: clique membership for top nodes (everyone when top < 2, where
+/// every node is a top node), otherwise a k-NN query into S_{l+1} — ids
+/// ascending.
 void DynamicHng::compute_selection(std::uint32_t u, std::vector<std::uint32_t>& out) {
   out.clear();
   const std::uint32_t l = level_[u];
-  if (top_ < 2) {
-    for (std::uint32_t x = 0; x < alive_.size(); ++x) {
-      if (alive_[x] && x != u) out.push_back(x);
-    }
-    return;
-  }
   if (l == top_) {
-    for (std::uint32_t x = 0; x < alive_.size(); ++x) {
-      if (alive_[x] && x != u && level_[x] == top_) out.push_back(x);
-    }
+    level_members(top_, out);
+    std::erase(out, u);
+    std::sort(out.begin(), out.end());
     return;
   }
   hng_link_node(pyramid_.level(l - 1), points_[u], u, params_.k, scratch_, found_);
@@ -95,6 +110,24 @@ void DynamicHng::set_selection(std::uint32_t u, const std::vector<std::uint32_t>
   for (const std::uint32_t x : sel_[u]) sorted_erase(selectors_[x], u);
   sel_[u].assign(fresh.begin(), fresh.end());
   for (const std::uint32_t x : sel_[u]) sorted_insert(selectors_[x], u);
+  raise_reach(u);
+}
+
+/// Squared distance of w's farthest pick if w holds a full regular
+/// selection, else 0. A clique (every top node) or an under-full selection
+/// (all of a small S_{l+1}) admits by membership, not by distance, so it
+/// must not widen the radius bound.
+double DynamicHng::worst_pick2(std::uint32_t w) const {
+  if (level_[w] >= top_ || sel_[w].size() < params_.k) return 0.0;
+  double worst2 = 0.0;
+  for (const std::uint32_t x : sel_[w]) worst2 = std::max(worst2, dist2(w, x));
+  return worst2;
+}
+
+/// Keep reach2_ covering w's selection after it changed.
+void DynamicHng::raise_reach(std::uint32_t w) {
+  double& reach2 = reach2_[level_[w] - 1];
+  reach2 = std::max(reach2, worst_pick2(w));
 }
 
 /// Join repair for a regular node w (exact level l < top, l <= L-1): u just
@@ -108,6 +141,7 @@ void DynamicHng::maybe_enter(std::uint32_t w, std::uint32_t u) {
     touch(w);
     sorted_insert(s, u);
     sorted_insert(selectors_[u], w);
+    raise_reach(w);
     return;
   }
   std::uint32_t worst = s[0];
@@ -119,6 +153,7 @@ void DynamicHng::maybe_enter(std::uint32_t w, std::uint32_t u) {
       worst = s[i];
     }
   }
+  // A displacement only lowers w's worst distance, so reach2_ still holds.
   const double du = dist2(w, u);
   if (du < worst_d2 || (du == worst_d2 && u < worst)) {
     touch(w);
@@ -126,6 +161,45 @@ void DynamicHng::maybe_enter(std::uint32_t w, std::uint32_t u) {
     sorted_erase(selectors_[worst], w);
     sorted_insert(s, u);
     sorted_insert(selectors_[u], w);
+  }
+}
+
+/// Reset level l's radius bound to the largest worst pick among its
+/// members. Raises alone would keep the widest selection the level ever
+/// had (an early node under a still-sparse level above, a since-departed
+/// corner node); run once the changes since the last reset exceed half the
+/// level (so at least once per doubling), this costs O(k) per change.
+/// Mid-event, a node still queued for recompute counts with its old
+/// selection; its new one raises the bound when it is set.
+void DynamicHng::tighten_reach(std::uint32_t l) {
+  level_members(l, candidates_);
+  double reach2 = 0.0;
+  for (const std::uint32_t w : candidates_) reach2 = std::max(reach2, worst_pick2(w));
+  reach2_[l - 1] = reach2;
+  reach_age_[l - 1] = 0;
+}
+
+/// Join repair set of u (level L >= 2): per exact level l in [1, L-1], the
+/// regular nodes maybe_enter() could admit u into. A full node admits u
+/// only if d(w, u) is within its worst pick's distance, hence within the
+/// level's reach; while S_{l+1} holds fewer than k nodes besides u, every
+/// node of the level is under-full and admits u outright.
+void DynamicHng::offer_join(std::uint32_t u) {
+  const std::uint32_t level = level_[u];
+  std::size_t others_above = 0;  // |S_{l+1} \ {u}|
+  for (std::uint32_t j = level; j <= top_; ++j) others_above += level_count_[j];
+  --others_above;
+  for (std::uint32_t l = level - 1; l >= 1; --l) {
+    if (2 * reach_age_[l - 1] > exact_level(l).size()) tighten_reach(l);
+    const double r2 = others_above < params_.k ? kInf : reach2_[l - 1];
+    candidates_.clear();
+    exact_level(l).within_into(points_[u], r2, candidates_);
+    for (const std::uint32_t w : candidates_) {
+      if (in_recompute_[w]) continue;  // dissolving clique: relinks by re-query
+      ++last_.repair_candidates;
+      maybe_enter(w, u);
+    }
+    others_above += level_count_[l];
   }
 }
 
@@ -147,6 +221,8 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
   }
   if (id == pyramid_.store_size()) {
     pyramid_.append_point(p);
+    // The store may have moved; member coordinates did not (GridKnn::rebind).
+    for (GridKnn& g : exact_) g.rebind(pyramid_.points());
   } else {
     pyramid_.set_point(id, p);  // vacated slot: no level indexes it now
   }
@@ -162,6 +238,13 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
   // new_top - 2 (the top cohort's own linking target S_top).
   while (pyramid_.num_levels() + 1 < new_top) pyramid_.push_level(params_.k);
   for (std::uint32_t l = 2; l <= level; ++l) pyramid_.insert(l - 2, id);
+  while (exact_.size() < level) {
+    exact_.emplace_back(pyramid_.points(), std::span<const std::uint32_t>{}, params_.k);
+    reach2_.push_back(0.0);
+    reach_age_.push_back(0);
+  }
+  exact_level(level).insert_member(id);
+  ++reach_age_[level - 1];
 
   if (live_n_ == 1) {
     top_ = new_top;
@@ -171,34 +254,26 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
 
   if (new_top > old_top) {
     // The old top cohort loses its clique and relinks as regular nodes.
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (alive_[w] && w != id && level_[w] == old_top) mark_recompute(w);
-    }
+    level_members(old_top, candidates_);
+    for (const std::uint32_t w : candidates_) mark_recompute(w);
     top_ = new_top;
   } else if (level == old_top) {
     // u joins the existing clique; members just gain u (exact — a clique
     // selection is "everyone else up here").
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (alive_[w] && w != id && level_[w] == old_top) {
-        touch(w);
-        sorted_insert(sel_[w], id);
-        sorted_insert(selectors_[id], w);
-      }
+    level_members(old_top, candidates_);
+    for (const std::uint32_t w : candidates_) {
+      if (w == id) continue;
+      touch(w);
+      sorted_insert(sel_[w], id);
+      sorted_insert(selectors_[id], w);
     }
   }
 
   // Regular nodes of exact level <= L-1 see u enter their linking target.
   // A level-1 joiner is a member of S_1 only, and linkers select from
-  // S_{l+1} with l >= 1, so nobody can select it — skip the scan outright
-  // (p = 3/4 of joins under the default promote_p).
-  if (level >= 2) {
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (!alive_[w] || w == id || in_recompute_[w]) continue;
-      const std::uint32_t l = level_[w];
-      if (l >= top_ || l + 1 > level) continue;  // clique node / u not in S_{l+1}
-      maybe_enter(w, id);
-    }
-  }
+  // S_{l+1} with l >= 1, so nobody can select it (p = 3/4 of joins under
+  // the default promote_p).
+  if (level >= 2) offer_join(id);
 
   mark_recompute(id);
   flush_recompute();
@@ -216,6 +291,8 @@ void DynamicHng::remove_slot(std::uint32_t r) {
   --live_n_;
   --level_count_[level_[r]];
   for (std::uint32_t l = 2; l <= level_[r]; ++l) pyramid_.erase(l - 2, r);
+  exact_level(level_[r]).erase_member(r);
+  ++reach_age_[level_[r] - 1];
 
   const std::uint32_t old_top = top_;
   std::uint32_t t = old_top;
@@ -227,9 +304,8 @@ void DynamicHng::remove_slot(std::uint32_t r) {
   sel_[r].clear();
 
   if (top_ != old_top && live_n_ > 0) {
-    for (std::uint32_t w = 0; w < alive_.size(); ++w) {
-      if (alive_[w] && level_[w] == top_) mark_recompute(w);
-    }
+    level_members(top_, candidates_);
+    for (const std::uint32_t w : candidates_) mark_recompute(w);
   }
   flush_recompute();
 }
@@ -285,6 +361,8 @@ void DynamicHng::finalize_event() {
   }
   for (const auto& [w, old] : dirty_old_) dirty_flag_[w] = 0;
   dirty_old_.clear();
+  SENS_OBS(obs::add(obs::Counter::kDynamicRepairCandidates, last_.repair_candidates);)
+  SENS_OBS(obs::add(obs::Counter::kDynamicRecomputes, last_.recomputes);)
 }
 
 /// Bring the overlay cache up to date: diff every pending pair's stale
@@ -313,32 +391,12 @@ void DynamicHng::materialize() const {
     }
   }
   overlay_ = CsrGraph::apply_edge_delta(overlay_, n, removed_, added_);
-  // Journal the applied call verbatim (§2.9): a subscriber replaying this
-  // entry onto its copy of the previous snapshot performs the identical
-  // apply_edge_delta and so lands on the identical CSR.
-  journal_.push_back(OverlayDelta{n, removed_, added_});
+  ++generation_;
   pending_.clear();
 }
 
-const OverlayDelta& DynamicHng::overlay_delta(std::uint64_t g) const {
-  materialize();
-  if (g < journal_base_ || g - journal_base_ >= journal_.size()) {
-    throw std::out_of_range("DynamicHng: overlay_delta generation outside the journal");
-  }
-  return journal_[g - journal_base_];
-}
-
-void DynamicHng::trim_overlay_journal(std::uint64_t upto) {
-  materialize();
-  const std::uint64_t current = journal_base_ + journal_.size();
-  if (upto > current) upto = current;
-  if (upto <= journal_base_) return;
-  journal_.erase(journal_.begin(),
-                 journal_.begin() + static_cast<std::ptrdiff_t>(upto - journal_base_));
-  journal_base_ = upto;
-}
-
 std::uint32_t DynamicHng::insert(Vec2 p) {
+  require_finite(p);
   begin_event();
   const auto id = static_cast<std::uint32_t>(points_.size());
   insert_slot(id, p);

@@ -22,22 +22,30 @@
 // enforced at every prefix of randomized traces by tests/test_dynamic.cpp
 // (`churn` ctest label).
 //
-// Repair sets are bounded and exact (DESIGN.md §2.7):
+// Repair sets are bounded, local and exact (DESIGN.md §2.7):
 //  * join u at level L: u's own selection is one pyramid query per the
 //    batch rule; an existing regular node w of exact level l <= L-1 sees u
 //    enter S_{l+1}, and its new k-NN selection follows from its old one
 //    without a re-query — admit u iff w is under-full or u beats w's
-//    current (distance, index)-worst pick; a top-level rise dissolves the
-//    old clique cohort, which relinks by re-query.
+//    current (distance, index)-worst pick. Only nodes that can pass that
+//    test are offered: a fixed-radius search of each exact level's grid,
+//    the radius an upper bound on that level's worst selection distance
+//    (all of the level while S_{l+1} holds fewer than k others). A
+//    top-level rise dissolves the old clique cohort, which relinks by
+//    re-query.
 //  * leave r: exactly the nodes that selected r (a maintained reverse
 //    index) re-query; a top-level drop forms the new top cohort's clique.
+// No event scans the live set: cohorts and candidates come from the
+// per-exact-level grids, so an event costs in proportion to its repair set.
 // The overlay CSR is patched with `CsrGraph::apply_edge_delta` over the
 // touched vertex pairs — never rebuilt or re-sorted. Materialization is
 // deferred: each event appends its net-changed pairs to a pending list,
 // and the first overlay() read after a burst applies them in one batch.
 // A CSR snapshot costs O(n + m) however small the delta (offsets, copies,
 // reverse arcs), so batching is what keeps per-event cost bounded by the
-// repair set instead of the deployment size.
+// repair set instead of the deployment size. Each materialization bumps
+// overlay_generation(); readers (serve/epoch_engine.hpp) poll it and copy
+// the overlay when it moved.
 //
 // All maintenance is serial by design (events are a sequential dependence
 // chain); replaying a trace is bit-identical at any --threads value
@@ -59,23 +67,13 @@
 
 namespace sens {
 
-/// One materialized overlay edge delta (DESIGN.md §2.9): exactly the
-/// arguments the maintainer passed to `CsrGraph::apply_edge_delta`, so a
-/// subscriber holding the generation-g snapshot replays the same call and
-/// lands on the generation-(g+1) snapshot bit for bit — never a wholesale
-/// rebuild. Produced by materialize(), consumed by
-/// serve/epoch_engine.hpp's EpochQueryEngine.
-struct OverlayDelta {
-  std::size_t n_new = 0;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> removed;  ///< sorted u < v pairs
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> added;    ///< sorted u < v pairs
-};
-
 /// Repair counters of one insert()/remove() event.
 struct DynamicHngStats {
   std::size_t relinked = 0;       ///< nodes whose selection list changed
   std::size_t edges_added = 0;    ///< overlay edge delta of the event
   std::size_t edges_removed = 0;
+  std::size_t repair_candidates = 0;  ///< nodes offered a joiner by the spatial search
+  std::size_t recomputes = 0;         ///< selections recomputed from scratch
 };
 
 class DynamicHng {
@@ -85,7 +83,8 @@ class DynamicHng {
   DynamicHng(const HngParams& params, std::uint64_t seed);
 
   /// Bulk adoption: equivalent to (and implemented as) inserting `points`
-  /// one by one in order.
+  /// one by one in order. Throws std::invalid_argument, before adopting
+  /// anything, if a coordinate is not finite.
   DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed);
 
   DynamicHng(DynamicHng&&) noexcept = default;
@@ -95,7 +94,8 @@ class DynamicHng {
 
   /// Join: the new node takes slot size(), draws its level from stream
   /// (seed, "HNG", slot), links itself, and repairs the bounded set of
-  /// selections it enters. Returns the slot.
+  /// selections it enters. Returns the slot. Throws std::invalid_argument
+  /// (leaving the structure unchanged) if a coordinate is not finite.
   std::uint32_t insert(Vec2 p);
 
   /// Leave: node `i` departs. Unless i was the last slot, the last slot's
@@ -128,33 +128,13 @@ class DynamicHng {
   /// Repair counters of the most recent insert()/remove().
   [[nodiscard]] const DynamicHngStats& last_event() const { return last_; }
 
-  // --- overlay delta journal (DESIGN.md §2.9) ---
-  //
-  // Every materialization appends the applied delta, tagged by a monotone
-  // generation: generation g's snapshot plus overlay_delta(g) equals
-  // generation g+1's snapshot. Subscribers (EpochQueryEngine) poll
-  // overlay_generation() and fold the gap; long-lived owners may
-  // trim_overlay_journal() once every subscriber has caught up —
-  // subscribers detect the gap and fall back to a full resync.
-
   /// Generation of the current overlay (materializes pending deltas first,
-  /// like overlay()). Generation 0 is the empty structure.
+  /// like overlay()): 0 for the empty structure, +1 per materialization
+  /// that had pending pairs. Equal generations mean equal overlays.
   [[nodiscard]] std::uint64_t overlay_generation() const {
     materialize();
-    return journal_base_ + journal_.size();
+    return generation_;
   }
-
-  /// Oldest journaled generation still replayable (>= this, < current).
-  [[nodiscard]] std::uint64_t overlay_journal_begin() const { return journal_base_; }
-
-  /// The delta from generation g's snapshot to generation g+1's. Throws
-  /// std::out_of_range outside [overlay_journal_begin(),
-  /// overlay_generation()).
-  [[nodiscard]] const OverlayDelta& overlay_delta(std::uint64_t g) const;
-
-  /// Drop journal entries below `upto` (clamped to the current
-  /// generation); replays from older snapshots then require a resync.
-  void trim_overlay_journal(std::uint64_t upto);
 
  private:
   [[nodiscard]] double dist2(std::uint32_t a, std::uint32_t b) const;
@@ -164,6 +144,12 @@ class DynamicHng {
   void compute_selection(std::uint32_t u, std::vector<std::uint32_t>& out);
   void set_selection(std::uint32_t u, const std::vector<std::uint32_t>& fresh);
   void maybe_enter(std::uint32_t w, std::uint32_t u);
+  [[nodiscard]] double worst_pick2(std::uint32_t w) const;
+  void raise_reach(std::uint32_t w);
+  void tighten_reach(std::uint32_t l);
+  void offer_join(std::uint32_t u);
+  GridKnn& exact_level(std::uint32_t l) { return exact_[l - 1]; }
+  void level_members(std::uint32_t l, std::vector<std::uint32_t>& out);
   void insert_slot(std::uint32_t id, Vec2 p);
   void remove_slot(std::uint32_t r);
   void begin_event();
@@ -187,6 +173,15 @@ class DynamicHng {
   std::vector<std::uint32_t> level_count_;  ///< exact-level histogram [0, max_level]
   std::uint32_t top_ = 0;
   GridKnnPyramid pyramid_;  ///< level index l holds S_{l+2}
+  // exact_[l-1] indexes the live nodes of exact level l (subset views over
+  // the pyramid's store); reach2_[l-1] is an upper bound on the squared
+  // worst-pick distance of every full regular selection at that level.
+  // Raised as selections change, reset to the members' exact maximum once
+  // reach_age_ (membership changes since the last reset) exceeds half the
+  // level's size: a loose bound costs candidates, never correctness.
+  std::vector<GridKnn> exact_;
+  std::vector<double> reach2_;
+  std::vector<std::size_t> reach_age_;
   DynamicHngStats last_;
 
   // Lazily materialized overlay cache (see overlay()). `pending_` holds
@@ -198,8 +193,7 @@ class DynamicHng {
   mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> pending_;
   mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> removed_;
   mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> added_;
-  mutable std::vector<OverlayDelta> journal_;  ///< deltas since journal_base_
-  mutable std::uint64_t journal_base_ = 0;     ///< generation of journal_[0]
+  mutable std::uint64_t generation_ = 0;
 
   // Per-event scratch: first-touch capture of old selections (the edge
   // delta is derived from these), the re-query worklist, and query buffers.
@@ -209,6 +203,7 @@ class DynamicHng {
   std::vector<std::uint8_t> in_recompute_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> touched_;
   std::vector<std::uint32_t> found_;
+  std::vector<std::uint32_t> candidates_;
   std::vector<std::uint32_t> fresh_sel_;
   GridKnn::QueryScratch scratch_;
 };

@@ -22,8 +22,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kOracleCertified: return "oracle_certified";
     case Counter::kOracleFallback: return "oracle_fallback";
     case Counter::kOracleDisconnected: return "oracle_disconnected";
-    case Counter::kEpochJournalReplays: return "epoch_journal_replays";
-    case Counter::kEpochResyncs: return "epoch_resyncs";
+    case Counter::kDynamicRepairCandidates: return "dynamic_repair_candidates";
+    case Counter::kDynamicRecomputes: return "dynamic_recomputes";
     case Counter::kFaultNodesFailed: return "fault_nodes_failed";
     case Counter::kFaultEdgesLostEndpoint: return "fault_edges_lost_endpoint";
     case Counter::kFaultEdgesLostLink: return "fault_edges_lost_link";

@@ -3,12 +3,12 @@
 //
 //  1. Deterministic *work counters* — pure functions of (seed, workload):
 //     Dijkstra heap pops / arc relaxations, BFS visits, GridKnn cells
-//     scanned / candidates examined, oracle verdicts, epoch replays vs
-//     resyncs, fault casualties. Every kernel tallies its own work in plain
-//     stack locals and flushes once per run/query into a per-thread counter
-//     block; uint64 addition commutes, so the merged totals are
-//     bit-identical at any `--threads` value. These may enter bench
-//     `--json` and are cmp'd by the bench-json CI job.
+//     scanned / candidates examined, oracle verdicts, DynamicHng repair
+//     candidates and recomputes, fault casualties. Every kernel tallies its
+//     own work in plain stack locals and flushes once per run/query/event
+//     into a per-thread counter block; uint64 addition commutes, so the
+//     merged totals are bit-identical at any `--threads` value. These may
+//     enter bench `--json` and are cmp'd by the bench-json CI job.
 //
 //  2. *Timing observables* — span timers (via `ScopedSpan` in
 //     support/timer.hpp feeding `TraceLog`), latency histograms, pool
@@ -61,8 +61,8 @@ enum class Counter : std::uint32_t {
   kOracleCertified,         ///< QueryEngine answers certified by bounds
   kOracleFallback,          ///< QueryEngine answers needing exact Dijkstra
   kOracleDisconnected,      ///< QueryEngine answers that are +inf
-  kEpochJournalReplays,     ///< overlay deltas replayed by EpochQueryEngine
-  kEpochResyncs,            ///< full snapshot resyncs (journal truncated)
+  kDynamicRepairCandidates, ///< DynamicHng nodes offered a joiner (maybe_enter)
+  kDynamicRecomputes,       ///< DynamicHng selections recomputed from scratch
   kFaultNodesFailed,        ///< nodes killed by apply_faults
   kFaultEdgesLostEndpoint,  ///< edges lost to a dead endpoint
   kFaultEdgesLostLink,      ///< edges lost to targeted link failure

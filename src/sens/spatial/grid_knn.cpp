@@ -119,6 +119,46 @@ std::size_t GridKnn::cell_index(Vec2 p) const {
          static_cast<std::size_t>(ix);
 }
 
+/// Column/row of coordinate v along an axis of `cells` cells from `lo`,
+/// clamped in floating point first so that any finite v (however far off
+/// the grid) converts safely. Monotone in v.
+long GridKnn::clamped_cell(double v, double lo, long cells) const {
+  const double c = std::floor((v - lo) / cell_);
+  if (c <= 0.0) return 0;
+  if (c >= static_cast<double>(cells - 1)) return cells - 1;
+  return static_cast<long>(c);
+}
+
+void GridKnn::within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) const {
+  auto consider = [&](std::uint32_t idx) {
+    const double dx = points_[idx].x - q.x;
+    const double dy = points_[idx].y - q.y;
+    if (dx * dx + dy * dy <= r2) out.push_back(idx);
+  };
+  for (const std::uint32_t idx : spill_) consider(idx);
+  if (offsets_.empty()) return;
+  long x0 = 0, x1 = nx_ - 1, y0 = 0, y1 = ny_ - 1;
+  if (r2 < kInf) {
+    // A point passing the d2 test has |p.x - q.x| <= sqrt(r2) up to a few
+    // ulps; the padded radius covers those and the rounding of q.x -/+ r,
+    // so the computed q.x - r <= p.x <= q.x + r, and the monotone cell map
+    // (the one bucketing used) puts p inside the scanned block.
+    const double r = std::sqrt(r2) * (1.0 + 1e-9) + 1e-12 * (std::abs(q.x) + std::abs(q.y));
+    x0 = clamped_cell(q.x - r, lo_.x, nx_);
+    x1 = clamped_cell(q.x + r, lo_.x, nx_);
+    y0 = clamped_cell(q.y - r, lo_.y, ny_);
+    y1 = clamped_cell(q.y + r, lo_.y, ny_);
+  }
+  for (long y = y0; y <= y1; ++y) {
+    const std::size_t base = static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_);
+    const std::uint32_t t0 = offsets_[base + static_cast<std::size_t>(x0)];
+    const std::uint32_t t1 = offsets_[base + static_cast<std::size_t>(x1) + 1];
+    for (std::uint32_t t = t0; t < t1; ++t) {
+      if (order_[t] != npos) consider(order_[t]);
+    }
+  }
+}
+
 void GridKnn::insert_member(std::uint32_t id) {
   if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
   spill_.push_back(id);

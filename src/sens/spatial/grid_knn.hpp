@@ -26,6 +26,8 @@
 // rebuilt from the live members (ascending id). Query results are a pure
 // function of the live member set, identical to a freshly built GridKnn
 // over it (asserted by `GridKnnMutation.*` / `GridKnnPyramidMutation.*`).
+// Besides k-NN, a fixed-radius query (`within_into`) lists the members in
+// a disk — the repair-set search of sens/dynamic.
 #pragma once
 
 #include <cstddef>
@@ -82,6 +84,15 @@ class GridKnn {
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
 
+  /// Every live member within squared distance `r2` of `q`, appended to
+  /// `out` in no particular order. The test is `dx*dx + dy*dy <= r2` with
+  /// dx = p.x - q.x, the arithmetic of the k-NN kernels, so a caller
+  /// comparing against distances it computed the same way misses no tie.
+  /// Only the cells that can hold such a point are read (plus the spill);
+  /// r2 = +inf lists every live member. Not counted by the k-NN work
+  /// counters.
+  void within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) const;
+
   /// Number of *live* indexed points (the member count for a subset view;
   /// tombstoned members do not count).
   [[nodiscard]] std::size_t size() const { return live_; }
@@ -122,6 +133,7 @@ class GridKnn {
  private:
   void build(std::span<const std::uint32_t> members, std::size_t expected_k);
   [[nodiscard]] std::size_t cell_index(Vec2 p) const;
+  [[nodiscard]] long clamped_cell(double v, double lo, long cells) const;
   void maybe_compact();
   std::size_t collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
                             QueryScratch::Candidate* best) const;

@@ -8,7 +8,10 @@
 // traces and checks that full-rebuild oracle after EVERY prefix.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -117,6 +120,32 @@ TEST(DynamicHng, EmptySingletonAndBackToEmpty) {
   EXPECT_TRUE(matches_oracle(dyn));
 }
 
+// Coordinates are validated before anything converts them to grid cells
+// (a float-to-integer conversion of NaN or inf is undefined behaviour).
+TEST(DynamicHng, InsertRejectsNonFiniteCoordinates) {
+  DynamicHng dyn({}, 5);
+  dyn.insert({1.0, 1.0});
+  dyn.insert({2.0, 1.5});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Vec2 bad : {Vec2{nan, 0.0}, Vec2{0.0, nan}, Vec2{inf, 0.0}, Vec2{0.0, -inf}}) {
+    EXPECT_THROW(dyn.insert(bad), std::invalid_argument);
+  }
+  // A rejected insert leaves the structure untouched and usable.
+  EXPECT_EQ(dyn.size(), 2u);
+  EXPECT_TRUE(matches_oracle(dyn));
+  dyn.insert({3.0, 3.0});
+  EXPECT_TRUE(matches_oracle(dyn));
+}
+
+TEST(DynamicHng, BulkAdoptionRejectsNonFiniteCoordinates) {
+  const std::vector<Vec2> pts{{1.0, 1.0}, {2.0, 2.0},
+                              {std::numeric_limits<double>::infinity(), 3.0}, {4.0, 4.0}};
+  EXPECT_THROW(DynamicHng(pts, {}, 5), std::invalid_argument);
+  const std::vector<Vec2> nan_pts{{std::numeric_limits<double>::quiet_NaN(), 0.0}};
+  EXPECT_THROW(DynamicHng(nan_pts, {}, 5), std::invalid_argument);
+}
+
 TEST(DynamicHng, RemoveInvalidSlotThrows) {
   DynamicHng dyn({}, 3);
   EXPECT_THROW(dyn.remove(0), std::out_of_range);
@@ -195,6 +224,105 @@ TEST_P(ChurnTraceTest, OracleHoldsAtEveryPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTraceTest,
                          ::testing::Values(0xC401u, 0xC402u, 0xC403u, 0xC404u));
+
+// Adversarial every-prefix traces for the spatial repair search: exact
+// ties on an integer lattice, heavy duplicates, windows far from the
+// origin and on negative coordinates, and one large trace where most
+// levels are full (so joins take the radius-bounded path, not the
+// everyone-is-under-full one). Each (shape, seed) is its own test.
+struct TraceShape {
+  const char* name;
+  std::size_t warm;    ///< points adopted before the trace
+  std::size_t events;  ///< join/leave events, oracle after each
+  Vec2 (*draw)(Rng&);  ///< where a fresh join lands
+};
+
+const TraceShape kShapes[] = {
+    {"Lattice", 60, 300,
+     [](Rng& rng) {
+       return Vec2{static_cast<double>(rng.uniform_index(13)),
+                   static_cast<double>(rng.uniform_index(13))};
+     }},
+    {"Duplicates", 30, 300,
+     [](Rng& rng) {
+       const Vec2 pool[] = {{1.0, 1.0}, {1.0, 2.0}, {2.0, 1.0}, {3.0, 3.0}, {0.5, 2.5}};
+       return pool[rng.uniform_index(5)];
+     }},
+    {"OffsetWindow", 60, 300,
+     [](Rng& rng) { return Vec2{rng.uniform(1e6, 1e6 + 9.0), rng.uniform(1e6, 1e6 + 9.0)}; }},
+    {"NegativeWindow", 60, 300,
+     [](Rng& rng) { return Vec2{rng.uniform(-40.0, -31.0), rng.uniform(-4.5, 4.5)}; }},
+    {"ThreeThousand", 3000, 120,
+     [](Rng& rng) { return Vec2{rng.uniform(0.0, 27.0), rng.uniform(0.0, 27.0)}; }},
+};
+
+struct AdversarialCase {
+  const TraceShape* shape;
+  std::uint64_t seed;
+};
+
+/// Names the case in test listings (e.g. Shapes/...OracleHoldsAtEveryPrefix/Lattice_44289).
+void PrintTo(const AdversarialCase& c, std::ostream* os) { *os << c.shape->name << '_' << c.seed; }
+
+class AdversarialTraceTest : public ::testing::TestWithParam<AdversarialCase> {};
+
+TEST_P(AdversarialTraceTest, OracleHoldsAtEveryPrefix) {
+  const TraceShape& shape = *GetParam().shape;
+  const std::uint64_t seed = GetParam().seed;
+  Rng rng = Rng::stream(seed, 0xAD5, 0);
+  std::vector<Vec2> warm(shape.warm);
+  for (Vec2& p : warm) p = shape.draw(rng);
+  DynamicHng dyn(warm, {.promote_p = 0.25, .k = 3}, seed);
+  ASSERT_TRUE(matches_oracle(dyn));
+  for (std::size_t e = 0; e < shape.events; ++e) {
+    if (dyn.size() == 0 || rng.bernoulli(0.55)) {
+      // A tenth of the joins land exactly on a live node.
+      const Vec2 p = dyn.size() > 0 && rng.bernoulli(0.1)
+                         ? dyn.points()[rng.uniform_index(dyn.size())]
+                         : shape.draw(rng);
+      dyn.insert(p);
+    } else {
+      dyn.remove(static_cast<std::uint32_t>(rng.uniform_index(dyn.size())));
+    }
+    ASSERT_TRUE(matches_oracle(dyn)) << shape.name << " seed " << seed << ", event " << e;
+  }
+}
+
+std::vector<AdversarialCase> adversarial_cases() {
+  std::vector<AdversarialCase> cases;
+  for (const TraceShape& shape : kShapes) {
+    for (const std::uint64_t seed : {0xAD01u, 0xAD02u}) cases.push_back({&shape, seed});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, AdversarialTraceTest, ::testing::ValuesIn(adversarial_cases()));
+
+// The complexity guard (counters, not timings): the repair search offers a
+// joiner only to nodes within a level's selection reach, so the candidates
+// per join must not grow with the deployment. A scan of every live node
+// (the search this replaced) would grow them 4x from n = 2000 to 8000.
+TEST(DynamicComplexity, RepairCandidatesPerJoinStayLocal) {
+  const auto candidates_per_join = [](double n) {
+    constexpr std::uint64_t kSeed = 0xC0117;
+    const double side = std::sqrt(n / 4.0);
+    const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {side, side}}, 4.0, kSeed);
+    DynamicHng dyn(ps.points, {.promote_p = 0.25, .k = 3}, kSeed);
+    Rng rng = Rng::stream(kSeed, 0x301, 0);
+    const std::size_t joins = ps.size() / 20;  // a 5% join wave
+    std::size_t candidates = 0;
+    for (std::size_t j = 0; j < joins; ++j) {
+      dyn.insert({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+      candidates += dyn.last_event().repair_candidates;
+    }
+    return static_cast<double>(candidates) / static_cast<double>(joins);
+  };
+  const double small = candidates_per_join(2000);
+  const double large = candidates_per_join(8000);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LT(large, 2.0 * small) << "candidates per join: " << small << " at n = 2000, " << large
+                                << " at n = 8000";
+}
 
 // §2.7 extends the determinism contract to mutations: maintenance is
 // serial by design, so replaying one trace at any --threads value must

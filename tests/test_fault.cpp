@@ -281,7 +281,7 @@ DynamicHng make_dyn(std::size_t n = 220, std::uint64_t seed = kSeed) {
   return DynamicHng(pts, HngParams{.promote_p = 0.25, .k = 3, .max_level = 48}, seed);
 }
 
-TEST(EpochEngine, JournalReplayMatchesMaintainerBitForBit) {
+TEST(EpochEngine, RefreshSnapshotMatchesMaintainerBitForBit) {
   DynamicHng dyn = make_dyn();
   EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 8, .seed = kSeed});
   EXPECT_EQ(engine.generation(), dyn.overlay_generation());
@@ -295,31 +295,39 @@ TEST(EpochEngine, JournalReplayMatchesMaintainerBitForBit) {
         dyn.insert(Vec2{rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)});
       }
     }
+    const std::uint64_t before = engine.generation();
     const EpochRefreshStats stats = engine.refresh();
-    EXPECT_FALSE(stats.resynced);
+    EXPECT_EQ(stats.deltas_applied, dyn.overlay_generation() - before);
     EXPECT_GT(stats.deltas_applied, 0u);
     EXPECT_EQ(engine.generation(), dyn.overlay_generation());
-    // The epoch snapshot is the maintainer's overlay, bit for bit — via
-    // delta replay, never a rebuild.
+    // The epoch snapshot is the maintainer's overlay, bit for bit.
     EXPECT_EQ(engine.graph().edge_list(), dyn.overlay().edge_list()) << "round " << round;
     ASSERT_EQ(engine.points().size(), dyn.points().size());
     for (std::size_t i = 0; i < dyn.points().size(); ++i) {
       EXPECT_EQ(engine.points()[i], dyn.points()[i]);
     }
   }
+  // Already current: a refresh is a no-op.
+  const EpochRefreshStats idle = engine.refresh();
+  EXPECT_EQ(idle.deltas_applied, 0u);
+  EXPECT_EQ(idle.generation, dyn.overlay_generation());
 }
 
-TEST(EpochEngine, ResyncsPastATrimmedJournal) {
+// A reader that skipped many materializations catches up in one copy,
+// however many generations the maintainer advanced in between.
+TEST(EpochEngine, RefreshAcrossManyGenerationsCopiesCurrentSnapshot) {
   DynamicHng dyn = make_dyn(120);
   EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 6, .seed = kSeed});
+  const std::uint64_t start = engine.generation();
   Rng rng = Rng::stream(kSeed, 0xc5u);
   for (int ev = 0; ev < 10; ++ev) {
     dyn.insert(Vec2{rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)});
+    (void)dyn.overlay();  // one generation per event
   }
-  dyn.trim_overlay_journal(dyn.overlay_generation());
+  ASSERT_EQ(dyn.overlay_generation(), start + 10);
   const EpochRefreshStats stats = engine.refresh();
-  EXPECT_TRUE(stats.resynced);
-  EXPECT_EQ(stats.deltas_applied, 0u);
+  EXPECT_EQ(stats.deltas_applied, 10u);
+  EXPECT_EQ(stats.generation, start + 10);
   EXPECT_EQ(engine.graph().edge_list(), dyn.overlay().edge_list());
 }
 

@@ -144,6 +144,14 @@ TEST(ObsRegistry, CounterNamesAreUniqueAndStable) {
       << "duplicate counter name";
   EXPECT_EQ(names.front(), "dijkstra_runs");
   for (const std::string& n : names) EXPECT_NE(n, "unknown");
+  // The dynamic layer reports its repair work; epoch refresh is a snapshot
+  // copy with nothing to count, so the old journal counters are gone.
+  for (const char* present : {"dynamic_repair_candidates", "dynamic_recomputes"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), present), names.end()) << present;
+  }
+  for (const char* absent : {"epoch_journal_replays", "epoch_resyncs"}) {
+    EXPECT_EQ(std::find(names.begin(), names.end(), absent), names.end()) << absent;
+  }
 }
 
 // --- work-counter determinism across --threads (the §2.10 contract) --------
@@ -216,10 +224,11 @@ TEST(ObsCounters, GridKnnBatchIsThreadInvariant) {
 }
 
 TEST(ObsCounters, EpochChurnReplayIsThreadInvariant) {
-  // The full churn-serving cycle: bulk build, churn events, journal replay,
-  // then a served batch — every instrumented kernel fires (k-NN linking in
-  // the maintainer, Dijkstra label sweeps in the oracle, verdict counts in
-  // serve), and the whole composition must stay bit-identical.
+  // The full churn-serving cycle: bulk build, churn events, epoch refresh,
+  // then a served batch — every instrumented kernel fires (repair search
+  // and k-NN linking in the maintainer, Dijkstra label sweeps in the
+  // oracle, verdict counts in serve), and the whole composition must stay
+  // bit-identical.
   const Box window{{0.0, 0.0}, {7.0, 7.0}};
   const PointSet ps = poisson_point_set(window, 4.0, kSeed);
   const std::vector<Vec2> pts(ps.points.begin(),
@@ -306,6 +315,34 @@ TEST(ObsCounters, ServeVerdictsMatchServeStats) {
   std::size_t inf = 0;
   for (const double d : out) inf += d >= kInfCost ? 1 : 0;
   EXPECT_EQ(stats.disconnected, inf);
+}
+
+TEST(ObsCounters, DynamicCountersMatchEventStats) {
+  // The registry's dynamic counters are the per-event repair stats summed
+  // over every event, bulk adoption included.
+  const Box window{{0.0, 0.0}, {8.0, 8.0}};
+  const PointSet ps = poisson_point_set(window, 4.0, kSeed);
+  auto& reg = obs::CounterRegistry::global();
+  reg.reset();
+  DynamicHng dyn(HngParams{.promote_p = 0.25, .k = 3, .max_level = 48}, kSeed);
+  std::uint64_t candidates = 0, recomputes = 0;
+  auto tally = [&] {
+    candidates += dyn.last_event().repair_candidates;
+    recomputes += dyn.last_event().recomputes;
+  };
+  for (const Vec2 p : ps.points) {
+    dyn.insert(p);
+    tally();
+  }
+  Rng rng = Rng::stream(kSeed, 0xd1u);
+  for (int ev = 0; ev < 60; ++ev) {
+    dyn.remove(static_cast<std::uint32_t>(rng.uniform_index(dyn.size())));
+    tally();
+  }
+  EXPECT_GT(candidates, 0u);
+  EXPECT_GT(recomputes, 0u);
+  EXPECT_EQ(reg.value(obs::Counter::kDynamicRepairCandidates), candidates);
+  EXPECT_EQ(reg.value(obs::Counter::kDynamicRecomputes), recomputes);
 }
 
 #endif  // SENS_OBS_ENABLED

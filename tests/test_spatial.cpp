@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -500,6 +501,102 @@ TEST(GridKnnMutation, EraseNonMemberThrowsInsertOutOfRangeThrows) {
   grid.erase_member(2);
   EXPECT_THROW(grid.erase_member(2), std::invalid_argument);
   EXPECT_THROW(grid.insert_member(20), std::out_of_range);
+}
+
+// --- fixed-radius queries (the dynamic layer's repair search) --------------
+
+/// Brute-force oracle with the exact test within_into promises.
+std::vector<std::uint32_t> brute_within(std::span<const Vec2> pts,
+                                        std::span<const std::uint32_t> members, Vec2 q,
+                                        double r2) {
+  std::vector<std::uint32_t> out;
+  for (const std::uint32_t m : members) {
+    const double dx = pts[m].x - q.x;
+    const double dy = pts[m].y - q.y;
+    if (dx * dx + dy * dy <= r2) out.push_back(m);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_within_matches(const GridKnn& grid, std::span<const Vec2> pts, Vec2 q, double r2) {
+  std::vector<std::uint32_t> got;
+  grid.within_into(q, r2, got);
+  std::sort(got.begin(), got.end());
+  const std::vector<std::uint32_t> members = grid.live_members();
+  EXPECT_EQ(got, brute_within(pts, members, q, r2)) << "q=(" << q.x << ", " << q.y
+                                                   << ") r2=" << r2;
+}
+
+// Through spill admissions, tombstones and compactions, a radius query
+// lists exactly the live members in the closed disk — including members
+// at exactly the query radius.
+TEST(GridKnnWithin, MatchesBruteForceUnderChurn) {
+  const auto pts = random_points(300, 0x3171);
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < pts.size(); i += 3) members.push_back(i);
+  GridKnn grid(pts, members, 12);
+  std::vector<std::uint8_t> in(pts.size(), 0);
+  for (const std::uint32_t m : members) in[m] = 1;
+  Rng rng(0x3172);
+  for (int op = 0; op < 240; ++op) {
+    const auto id = static_cast<std::uint32_t>(rng.uniform_index(pts.size()));
+    if (in[id]) {
+      grid.erase_member(id);
+    } else {
+      grid.insert_member(id);
+    }
+    in[id] ^= 1;
+    if (op % 20 != 19) continue;
+    const Vec2 q{rng.uniform(-2.0, 12.0), rng.uniform(-2.0, 12.0)};
+    for (const double r : {0.0, 0.3, 1.1, 4.0, 30.0}) expect_within_matches(grid, pts, q, r * r);
+    // Radius exactly at a member: that member must be listed.
+    const Vec2 m = pts[id];
+    expect_within_matches(grid, pts, q, dist2(m, q));
+  }
+}
+
+// A half-integer lattice whose grid cells are exactly unit squares (400
+// members over a 10 x 10 box, tuned for 4 per cell): integer coordinates
+// sit exactly on cell boundaries and integer radii tie with lattice
+// distances. Shifted far from the origin and onto negative coordinates,
+// the same queries must stay exact.
+TEST(GridKnnWithin, LatticeOnCellBoundariesAndOffsetWindows) {
+  for (const Vec2 shift : {Vec2{0.0, 0.0}, Vec2{1e6, 1e6}, Vec2{-500.0, -731.0}}) {
+    std::vector<Vec2> pts;
+    for (int i = 0; i < 20; ++i) {
+      for (int j = 0; j < 20; ++j) pts.push_back({shift.x + 0.5 * i, shift.y + 0.5 * j});
+    }
+    pts.back() = {shift.x + 10.0, shift.y + 10.0};  // box exactly 10 x 10
+    const GridKnn grid(pts, 16);
+    for (int qi = 0; qi <= 10; qi += 2) {
+      for (int qj = 0; qj <= 10; qj += 5) {
+        const Vec2 q{shift.x + qi, shift.y + qj};
+        for (const double r2 : {0.0, 0.25, 1.0, 2.0, 4.0, 6.25, 9.0}) {
+          expect_within_matches(grid, pts, q, r2);
+        }
+      }
+    }
+  }
+}
+
+TEST(GridKnnWithin, InfiniteAndHugeRadiiListEveryMember) {
+  const auto pts = random_points(90, 0x3173);
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t i = 0; i < pts.size(); i += 2) members.push_back(i);
+  GridKnn grid(pts, members, 4);
+  grid.insert_member(1);  // one spill entry
+  std::vector<std::uint32_t> got;
+  grid.within_into({5.0, 5.0}, std::numeric_limits<double>::infinity(), got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, grid.live_members());
+  got.clear();
+  grid.within_into({-1e200, 1e200}, 1e300, got);  // cell math far off the grid
+  EXPECT_EQ(got.size(), 0u);
+  const GridKnn empty(pts, std::vector<std::uint32_t>{}, 4);
+  got.clear();
+  empty.within_into({5.0, 5.0}, 100.0, got);
+  EXPECT_TRUE(got.empty());
 }
 
 // Pyramid mutation: grow the store, append levels, drain and repopulate a
