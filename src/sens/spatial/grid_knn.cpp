@@ -112,13 +112,6 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   for (const std::uint32_t m : members) order_[cursor[cell_index(points_[m])]++] = m;
 }
 
-std::size_t GridKnn::cell_index(Vec2 p) const {
-  const long ix = std::clamp(static_cast<long>(std::floor((p.x - lo_.x) / cell_)), 0L, nx_ - 1);
-  const long iy = std::clamp(static_cast<long>(std::floor((p.y - lo_.y) / cell_)), 0L, ny_ - 1);
-  return static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx_) +
-         static_cast<std::size_t>(ix);
-}
-
 /// Column/row of coordinate v along an axis of `cells` cells from `lo`,
 /// clamped in floating point first so that any finite v (however far off
 /// the grid) converts safely. Monotone in v.
@@ -127,6 +120,13 @@ long GridKnn::clamped_cell(double v, double lo, long cells) const {
   if (c <= 0.0) return 0;
   if (c >= static_cast<double>(cells - 1)) return cells - 1;
   return static_cast<long>(c);
+}
+
+std::size_t GridKnn::cell_index(Vec2 p) const {
+  const long ix = clamped_cell(p.x, lo_.x, nx_);
+  const long iy = clamped_cell(p.y, lo_.y, ny_);
+  return static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx_) +
+         static_cast<std::size_t>(ix);
 }
 
 void GridKnn::within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) const {
@@ -142,7 +142,7 @@ void GridKnn::within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) co
     // A point passing the d2 test has |p.x - q.x| <= sqrt(r2) up to a few
     // ulps; the padded radius covers those and the rounding of q.x -/+ r,
     // so the computed q.x - r <= p.x <= q.x + r, and the monotone cell map
-    // (the one bucketing used) puts p inside the scanned block.
+    // that bucketed p (cell_index) puts it inside the scanned block.
     const double r = std::sqrt(r2) * (1.0 + 1e-9) + 1e-12 * (std::abs(q.x) + std::abs(q.y));
     x0 = clamped_cell(q.x - r, lo_.x, nx_);
     x1 = clamped_cell(q.x + r, lo_.x, nx_);
