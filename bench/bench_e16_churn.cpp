@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
     const PhaseRun run = run_phase(dyn, window, spec, env.seed, i + 1);
     const auto events = static_cast<double>(spec.events);
 
-    // First overlay() read after the burst: pays the one batched
-    // apply_edge_delta for the whole phase (timed separately — the honest
-    // cost of reading a CSR snapshot under deferred materialization).
+    // First overlay() read after the burst: pays the one rebuild from the
+    // maintained selections for the whole phase (timed separately — the
+    // honest cost of reading a CSR snapshot under deferred materialization).
     timer.reset();
     (void)dyn.overlay();
     const double snapshot_ms = timer.millis();

@@ -331,11 +331,8 @@ const std::vector<std::uint32_t>& DynamicHng::pre_event_selection(std::uint32_t 
 /// Derive the undirected edge delta of this event from the captured
 /// pre-event selections vs the current ones. An edge {a, b} exists iff
 /// b in sel(a) or a in sel(b); only pairs incident to a node whose
-/// selection changed can have flipped. The flipped pairs feed the event
-/// stats immediately and queue in pending_ for the next overlay()
-/// materialization — the CSR itself is not touched here (a snapshot costs
-/// O(n + m) no matter how small the delta, so it is batched per read, not
-/// paid per event).
+/// selection changed can have flipped. The counts feed the event stats; a
+/// nonzero count marks the overlay stale for the next overlay() read.
 void DynamicHng::finalize_event() {
   touched_.clear();
   for (const auto& [w, old] : dirty_old_) {
@@ -354,45 +351,26 @@ void DynamicHng::finalize_event() {
     const bool before = sorted_contains(old_a, b) || sorted_contains(old_b, a);
     const bool after = alive_[a] && alive_[b] &&
                        (sorted_contains(sel_[a], b) || sorted_contains(sel_[b], a));
-    if (before != after) {
-      pending_.emplace_back(a, b);
-      ++(after ? last_.edges_added : last_.edges_removed);
-    }
+    if (before != after) ++(after ? last_.edges_added : last_.edges_removed);
   }
+  if (last_.edges_added + last_.edges_removed > 0) overlay_stale_ = true;
   for (const auto& [w, old] : dirty_old_) dirty_flag_[w] = 0;
   dirty_old_.clear();
   SENS_OBS(obs::add(obs::Counter::kDynamicRepairCandidates, last_.repair_candidates);)
   SENS_OBS(obs::add(obs::Counter::kDynamicRecomputes, last_.recomputes);)
 }
 
-/// Bring the overlay cache up to date: diff every pending pair's stale
-/// membership against the live structure and apply the net delta in one
-/// apply_edge_delta call. Pairs that flipped an even number of times since
-/// the last read cancel here. Slot ids beyond either vertex range simply
-/// read as "no edge" on that side (a transient slot that appeared and
-/// vanished between reads nets to nothing).
+/// Bring the overlay cache up to date: rebuild it from the maintained
+/// selections with the batch builder's own from_selections, when an edge
+/// flipped or the vertex count changed since the last read.
 void DynamicHng::materialize() const {
   const std::size_t n = points_.size();
-  if (pending_.empty() && overlay_.num_vertices() == n) return;
-  std::sort(pending_.begin(), pending_.end());
-  pending_.erase(std::unique(pending_.begin(), pending_.end()), pending_.end());
-
-  const std::size_t n_old = overlay_.num_vertices();
-  removed_.clear();
-  added_.clear();
-  for (const auto& [a, b] : pending_) {
-    const bool before = a < n_old && b < n_old && overlay_.has_edge(a, b);
-    const bool after = a < n && b < n && alive_[a] && alive_[b] &&
-                       (sorted_contains(sel_[a], b) || sorted_contains(sel_[b], a));
-    if (before && !after) {
-      removed_.emplace_back(a, b);
-    } else if (!before && after) {
-      added_.emplace_back(a, b);
-    }
-  }
-  overlay_ = CsrGraph::apply_edge_delta(overlay_, n, removed_, added_);
+  if (!overlay_stale_ && overlay_.num_vertices() == n) return;
+  overlay_ = CsrGraph::from_selections(build_flat_adjacency(
+      n, [&](std::size_t i) { return sel_[i].size(); },
+      [&](std::size_t i, std::uint32_t* out) { std::copy(sel_[i].begin(), sel_[i].end(), out); }));
+  overlay_stale_ = false;
   ++generation_;
-  pending_.clear();
 }
 
 std::uint32_t DynamicHng::insert(Vec2 p) {

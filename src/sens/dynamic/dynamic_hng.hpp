@@ -37,18 +37,20 @@
 //    index) re-query; a top-level drop forms the new top cohort's clique.
 // No event scans the live set: cohorts and candidates come from the
 // per-exact-level grids, so an event costs in proportion to its repair set.
-// The overlay CSR is patched with `CsrGraph::apply_edge_delta` over the
-// touched vertex pairs — never rebuilt or re-sorted. Materialization is
-// deferred: each event appends its net-changed pairs to a pending list,
-// and the first overlay() read after a burst applies them in one batch.
-// A CSR snapshot costs O(n + m) however small the delta (offsets, copies,
-// reverse arcs), so batching is what keeps per-event cost bounded by the
-// repair set instead of the deployment size. Each materialization bumps
-// overlay_generation(); readers (serve/epoch_engine.hpp) poll it and copy
-// the overlay when it moved.
+// The overlay CSR is rebuilt, not patched: the first overlay() read after
+// an event that flipped an edge runs CsrGraph::from_selections over the
+// maintained selections — the builder build_hng itself uses, so the oracle
+// holds by construction. A CSR snapshot costs O(n + m) however small the
+// change, so deferring it to the read is what keeps per-event cost bounded
+// by the repair set instead of the deployment size. At the churn rates the
+// benchmarks read at (about 1% of the nodes per read or more) the rebuild
+// is as fast as merging an edge delta into the old CSR, or faster
+// (DESIGN.md §2.7). Each rebuild bumps overlay_generation(); readers
+// (serve/epoch_engine.hpp) poll it and copy the overlay when it moved.
 //
-// All maintenance is serial by design (events are a sequential dependence
-// chain); replaying a trace is bit-identical at any --threads value
+// Event maintenance is serial by design (events are a sequential
+// dependence chain); the overlay rebuild is chunk-parallel with disjoint
+// writes. Replaying a trace is bit-identical at any --threads value
 // (DynamicThreads.*), extending the §2.3–2.5 determinism contract to
 // mutations.
 #pragma once
@@ -110,10 +112,10 @@ class DynamicHng {
   [[nodiscard]] const HngParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
-  /// The symmetrized overlay — equal to the batch build's graph. Deltas
-  /// accumulated since the last read are applied here in one
-  /// CsrGraph::apply_edge_delta batch (lazily cached; like every other
-  /// member, not safe to call concurrently with mutations).
+  /// The symmetrized overlay — equal to the batch build's graph. Rebuilt
+  /// from the selections on the first read after an edge flipped (lazily
+  /// cached; like every other member, not safe to call concurrently with
+  /// mutations).
   [[nodiscard]] const CsrGraph& overlay() const {
     materialize();
     return overlay_;
@@ -128,9 +130,10 @@ class DynamicHng {
   /// Repair counters of the most recent insert()/remove().
   [[nodiscard]] const DynamicHngStats& last_event() const { return last_; }
 
-  /// Generation of the current overlay (materializes pending deltas first,
-  /// like overlay()): 0 for the empty structure, +1 per materialization
-  /// that had pending pairs. Equal generations mean equal overlays.
+  /// Generation of the current overlay (materializes first, like
+  /// overlay()): 0 for the empty structure, +1 per read that follows at
+  /// least one edge flip or a change in vertex count. Equal generations
+  /// mean equal overlays.
   [[nodiscard]] std::uint64_t overlay_generation() const {
     materialize();
     return generation_;
@@ -184,15 +187,10 @@ class DynamicHng {
   std::vector<std::size_t> reach_age_;
   DynamicHngStats last_;
 
-  // Lazily materialized overlay cache (see overlay()). `pending_` holds
-  // every pair whose membership flipped in some event since the last
-  // materialization; pairs that flipped back cancel in the diff. Slot ids
-  // in pending_ may exceed the current size after a shrink — materialize()
-  // bound-checks both sides.
+  // Lazily materialized overlay cache (see overlay()): stale once an event
+  // flipped an edge, rebuilt and cleared by the next read.
   mutable CsrGraph overlay_;
-  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> pending_;
-  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> removed_;
-  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> added_;
+  mutable bool overlay_stale_ = false;
   mutable std::uint64_t generation_ = 0;
 
   // Per-event scratch: first-touch capture of old selections (the edge

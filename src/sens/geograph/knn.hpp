@@ -21,9 +21,4 @@ namespace sens {
 /// any thread count.
 [[nodiscard]] FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k);
 
-/// Legacy nested-vector shape of `knn_selections_flat`, kept for tests and
-/// the occupancy-cap ablation.
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> knn_selections(std::span<const Vec2> points,
-                                                                     std::size_t k);
-
 }  // namespace sens

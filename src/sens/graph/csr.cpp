@@ -186,123 +186,6 @@ CsrGraph CsrGraph::from_selections(FlatAdjacency sel) {
   return from_symmetric_adjacency(std::move(merged), /*lists_sorted=*/true);
 }
 
-namespace {
-
-/// Directed per-vertex view of an undirected (u < v) pair delta, built by
-/// counting sort. Vertex x's list holds every partner, ascending: the
-/// reverse direction fills first (partners below x, arriving in ascending
-/// pair order), then the forward direction (partners above x) — so each
-/// list is globally sorted without a sort call. Validates shape: u < v,
-/// ids < n, strictly ascending pairs.
-FlatAdjacency directed_delta(std::size_t n,
-                             std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-                             const char* bad_shape) {
-  FlatAdjacency adj;
-  adj.offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto [u, v] = pairs[i];
-    if (u >= v) throw std::invalid_argument(bad_shape);
-    if (v >= n) throw std::out_of_range("CsrGraph::apply_edge_delta: vertex id out of range");
-    if (i > 0 && !(pairs[i - 1] < pairs[i])) throw std::invalid_argument(bad_shape);
-    ++adj.offsets[u + 1];
-    ++adj.offsets[v + 1];
-  }
-  // Checked prefix sum (§2.8): an adversarial grow delta can push the
-  // directed total past the 32-bit offset space, which must fail loudly
-  // instead of wrapping into a corrupt counting sort.
-  std::uint64_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    total += adj.offsets[v + 1];
-    adj.offsets[v + 1] = checked_u32(total, "CsrGraph::apply_edge_delta delta offsets");
-  }
-  adj.neighbors.resize(adj.offsets[n]);
-  std::vector<std::uint32_t> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
-  for (const auto& [u, v] : pairs) adj.neighbors[cursor[v]++] = u;
-  for (const auto& [u, v] : pairs) adj.neighbors[cursor[u]++] = v;
-  return adj;
-}
-
-}  // namespace
-
-CsrGraph CsrGraph::apply_edge_delta(
-    const CsrGraph& g, std::size_t n_new,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> removed,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> added) {
-  const std::size_t n_old = g.num_vertices();
-  // Entry guard (§2.8): the delta path predates the checked builders and
-  // must reject a grow delta whose result outruns the 32-bit id/arc space
-  // before any counting sort runs. Removals are validated to exist later,
-  // so the final arc count is exact when the delta is well-formed.
-  const std::size_t grown = g.num_arcs() + 2 * added.size();
-  check_index_width(n_new, grown >= 2 * removed.size() ? grown - 2 * removed.size() : 0);
-  const FlatAdjacency rem = directed_delta(
-      n_old, removed, "CsrGraph::apply_edge_delta: removed list not sorted (u < v) pairs");
-  const FlatAdjacency add = directed_delta(
-      n_new, added, "CsrGraph::apply_edge_delta: added list not sorted (u < v) pairs");
-  for (std::size_t v = n_new; v < n_old; ++v) {
-    if (rem.degree(v) != g.degree(static_cast<std::uint32_t>(v))) {
-      throw std::invalid_argument("CsrGraph::apply_edge_delta: dropped vertex keeps edges");
-    }
-  }
-
-  // Per-vertex three-way merge: (old list minus removals) union additions,
-  // all sorted — `emit` is counted in pass 1 and written in pass 2 of the
-  // two-pass builder. Validation rides along: every removal must match an
-  // old neighbor, no addition may collide with a surviving one.
-  constexpr std::span<const std::uint32_t> kEmpty;
-  auto merge = [&](std::size_t i, auto&& emit) {
-    const auto u = static_cast<std::uint32_t>(i);
-    const std::span<const std::uint32_t> old = i < n_old ? g.neighbors(u) : kEmpty;
-    const std::span<const std::uint32_t> rm = i < n_old ? rem[i] : kEmpty;
-    const std::span<const std::uint32_t> ad = add[i];
-    std::size_t a = 0;
-    std::size_t r = 0;
-    std::size_t b = 0;
-    while (a < old.size() || b < ad.size()) {
-      if (a < old.size() && b < ad.size() && old[a] == ad[b]) {
-        // Even a removed-then-added edge is rejected: the two deltas must
-        // be disjoint from each other and from the surviving set.
-        throw std::invalid_argument("CsrGraph::apply_edge_delta: added edge already present");
-      }
-      if (a < old.size() && (b == ad.size() || old[a] < ad[b])) {
-        const std::uint32_t x = old[a++];
-        if (r < rm.size() && rm[r] == x) {
-          ++r;
-          continue;
-        }
-        emit(x);
-      } else {
-        emit(ad[b++]);
-      }
-    }
-    if (r != rm.size()) {
-      throw std::invalid_argument("CsrGraph::apply_edge_delta: removed edge not present");
-    }
-  };
-  // Vertices with no delta entries (the vast majority under incremental
-  // churn) skip the merge entirely: their new list is their old list.
-  auto untouched = [&](std::size_t i) {
-    return i < n_old && rem[i].empty() && add[i].empty();
-  };
-  FlatAdjacency merged = build_flat_adjacency(
-      n_new,
-      [&](std::size_t i) {
-        if (untouched(i)) return g.degree(static_cast<std::uint32_t>(i));
-        std::size_t count = 0;
-        merge(i, [&](std::uint32_t) { ++count; });
-        return count;
-      },
-      [&](std::size_t i, std::uint32_t* out) {
-        if (untouched(i)) {
-          const auto old = g.neighbors(static_cast<std::uint32_t>(i));
-          std::copy(old.begin(), old.end(), out);
-          return;
-        }
-        merge(i, [&](std::uint32_t v) { *out++ = v; });
-      });
-  return from_symmetric_adjacency(std::move(merged), /*lists_sorted=*/true);
-}
-
 std::size_t CsrGraph::arc_index(std::uint32_t u, std::uint32_t v) const {
   const auto nbrs = neighbors(u);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);

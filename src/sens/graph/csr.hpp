@@ -1,11 +1,13 @@
 // Compressed-sparse-row undirected graph.
 //
 // All graphs in this project (UDG, kNN, SENS overlays, baselines) are built
-// once and then queried many times, so CSR is the natural representation:
-// adjacency of vertex v is the contiguous span neighbors(v). Each undirected
-// edge {u, v} is stored as two *arcs* (u -> v and v -> u); the arc index is
-// the key the traversal layer uses to attach per-edge data — see
-// `arc_weights` and the traversal contract in DESIGN.md §2.4.
+// once and then queried many times — even the churning HNG overlay of
+// sens/dynamic is rebuilt whole on read, never patched in place — so CSR is
+// the natural representation: adjacency of vertex v is the contiguous span
+// neighbors(v). Each undirected edge {u, v} is stored as two *arcs* (u -> v
+// and v -> u); the arc index is the key the traversal layer uses to attach
+// per-edge data — see `arc_weights` and the traversal contract in
+// DESIGN.md §2.4.
 #pragma once
 
 #include <cstdint>
@@ -67,23 +69,9 @@ class CsrGraph {
   /// selections, Yao cone winners): {u, v} is an edge iff v appears in
   /// sel[u] or u appears in sel[v]. Self entries are dropped and
   /// duplicates merged; `sel` is consumed (its lists are sorted in place).
+  /// This is the one HNG overlay builder: `build_hng` and the maintained
+  /// `DynamicHng` overlay both go through it.
   static CsrGraph from_selections(FlatAdjacency sel);
-
-  /// The graph `g` with `removed` edges deleted, `added` edges inserted,
-  /// and the vertex count changed to `n_new` — built by per-vertex
-  /// sorted-list merges in O(n + m + |delta|): no global edge sort, no
-  /// re-sort of untouched lists. Bit-identical to rebuilding from the
-  /// updated edge set (asserted by `CsrEdgeDelta.*`); this is how
-  /// sens/dynamic maintains its overlay per churn event. Both deltas are
-  /// undirected (u, v) pairs with u < v, strictly ascending; `removed`
-  /// edges must exist in `g`, `added` edges must not (the two lists are
-  /// disjoint), and a vertex dropped by shrinking to `n_new` must have its
-  /// entire incident edge set in `removed`. Throws std::invalid_argument /
-  /// std::out_of_range on any violation.
-  static CsrGraph apply_edge_delta(
-      const CsrGraph& g, std::size_t n_new,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>> removed,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>> added);
 
   [[nodiscard]] std::size_t num_vertices() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;

@@ -33,16 +33,6 @@ struct FlatAdjacency {
   [[nodiscard]] std::span<const std::uint32_t> operator[](std::size_t i) const {
     return {neighbors.data() + offsets[i], neighbors.data() + offsets[i + 1]};
   }
-
-  /// Expand to the legacy nested-vector shape (tests, compatibility).
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> to_nested() const {
-    std::vector<std::vector<std::uint32_t>> out(size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const auto nbrs = (*this)[i];
-      out[i].assign(nbrs.begin(), nbrs.end());
-    }
-    return out;
-  }
 };
 
 /// Two-pass count-then-write builder (DESIGN.md §2.3): `count(i)` returns the

@@ -1,6 +1,7 @@
 #include "sens/serve/epoch_engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "sens/graph/dijkstra.hpp"
 #include "sens/rng/rng.hpp"
@@ -76,6 +77,10 @@ EpochRefreshStats EpochQueryEngine::refresh() {
 
 EpochServeStats EpochQueryEngine::serve(std::span<const Query> queries, std::span<double> out,
                                         std::span<Verdict> verdicts) const {
+  if (out.size() != queries.size() || verdicts.size() != queries.size()) {
+    throw std::invalid_argument(
+        "EpochQueryEngine::serve: out and verdicts must be sized like queries");
+  }
   const std::size_t n = graph_.num_vertices();
   const ChunkLayout layout = chunk_layout(queries.size());
   std::vector<EpochServeStats> partials(layout.count);

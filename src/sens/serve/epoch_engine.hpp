@@ -95,9 +95,11 @@ class EpochQueryEngine {
   EpochRefreshStats refresh();
 
   /// Answer a batch with explicit verdicts: distances into out[i],
-  /// verdict into verdicts[i] (both sized like queries). kDisconnected and
-  /// kStale answers report kInfCost. Chunk-parallel, const, safe to call
-  /// concurrently with other serve() calls on this engine.
+  /// verdict into verdicts[i] (both sized like queries; throws
+  /// std::invalid_argument otherwise, before any work). kDisconnected and
+  /// kStale answers report kInfCost — an id outside this epoch is kStale,
+  /// not an error. Chunk-parallel, const, safe to call concurrently with
+  /// other serve() calls on this engine.
   EpochServeStats serve(std::span<const Query> queries, std::span<double> out,
                         std::span<Verdict> verdicts) const;
 

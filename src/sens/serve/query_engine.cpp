@@ -1,12 +1,39 @@
 #include "sens/serve/query_engine.hpp"
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "sens/obs/obs.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/support/scratch_pool.hpp"
 
 namespace sens {
+
+namespace {
+
+/// Entry checks of the batched forms, run before any work: every id must
+/// name a vertex of `g`, and an output span (when the form has one) must be
+/// sized like the batch.
+void check_batch(const CsrGraph& g, std::span<const Query> queries, const char* what) {
+  const std::size_t n = g.num_vertices();
+  for (const Query& q : queries) {
+    if (q.src >= n || q.dst >= n) {
+      throw std::out_of_range(std::string("QueryEngine::") + what + ": query id out of range");
+    }
+  }
+}
+
+void check_batch(const CsrGraph& g, std::span<const Query> queries, std::size_t out_size,
+                 const char* what) {
+  if (out_size != queries.size()) {
+    throw std::invalid_argument(std::string("QueryEngine::") + what +
+                                ": out.size() must equal queries.size()");
+  }
+  check_batch(g, queries, what);
+}
+
+}  // namespace
 
 QueryEngine::QueryEngine(const CsrGraph& g, std::vector<double> arc_weights,
                          const QueryEngineParams& params)
@@ -18,6 +45,7 @@ QueryEngine::QueryEngine(const CsrGraph& g, std::vector<double> arc_weights,
       max_stretch_(params.max_stretch) {}
 
 void QueryEngine::exact_distances(std::span<const Query> queries, std::span<double> out) const {
+  check_batch(*g_, queries, out.size(), "exact_distances");
   ScratchPool<DijkstraScratch> scratches;
   parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
     const auto scratch = scratches.acquire();
@@ -52,6 +80,7 @@ double QueryEngine::estimate_distance(Query q, RouteScratch& scratch, ServeStats
 
 ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
                                            std::span<double> out) const {
+  check_batch(*g_, queries, out.size(), "estimate_distances");
   const ChunkLayout layout = chunk_layout(queries.size());
   std::vector<ServeStats> partials(layout.count);
   ScratchPool<RouteScratch> scratches;
@@ -69,6 +98,7 @@ ServeStats QueryEngine::estimate_distances(std::span<const Query> queries,
 
 void QueryEngine::hop_distances(std::span<const Query> queries,
                                 std::span<std::uint32_t> out) const {
+  check_batch(*g_, queries, out.size(), "hop_distances");
   ScratchPool<BfsScratch> scratches;
   parallel_for_chunks(queries.size(), [&](std::size_t begin, std::size_t end) {
     const auto scratch = scratches.acquire();
@@ -80,6 +110,7 @@ void QueryEngine::hop_distances(std::span<const Query> queries,
 
 void QueryEngine::routes(std::span<const Query> queries, std::vector<std::uint32_t>& offsets,
                          std::vector<std::uint32_t>& nodes) const {
+  check_batch(*g_, queries, "routes");
   const std::size_t q = queries.size();
   // Per-chunk node buffers concatenated in chunk order equal one serial
   // left-to-right pass (§2.3): chunk c covers a contiguous query range, and

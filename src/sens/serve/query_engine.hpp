@@ -93,7 +93,10 @@ class QueryEngine {
               const QueryEngineParams& params = {});
 
   // --- batched forms: chunk-parallel over the batch, results written to
-  // caller-owned buffers, safe to call concurrently on one engine ---
+  // caller-owned buffers, safe to call concurrently on one engine. Each
+  // validates the batch before any work: std::out_of_range on a query id
+  // >= graph().num_vertices(), std::invalid_argument when out.size() !=
+  // queries.size() ---
 
   /// Exact weighted distance per query into out[i] (kInfCost when
   /// disconnected). out.size() must equal queries.size().

@@ -200,6 +200,50 @@ TEST(DynamicHng, RemoveUntilEmptyThenReinsert) {
   EXPECT_EQ(dyn.size(), ps.size());
 }
 
+// overlay_generation() numbering is what EpochQueryEngine reports as
+// generations advanced per refresh (E19's deltas_applied), so it is pinned
+// on a fixed trace: +1 per read that follows at least one edge flip or a
+// change in vertex count — a read after flip-free events only, or a second
+// read, never advances it. Every read also checks the oracle: a burst
+// whose joins and leaves cancel in vertex count must still rebuild.
+TEST(DynamicHng, GenerationNumberingPinnedOnFixedTrace) {
+  DynamicHng dyn({.promote_p = 0.25, .k = 3}, 0x6E4);
+  std::vector<std::uint64_t> seen;
+  const auto read = [&] {
+    seen.push_back(dyn.overlay_generation());
+    EXPECT_TRUE(matches_oracle(dyn)) << "read " << seen.size();
+  };
+  const auto step = [&](Event ev) {
+    if (!ev.join) ev.slot = ev.slot % static_cast<std::uint32_t>(dyn.size());
+    apply(dyn, ev);
+  };
+  // Zero-flip corner: a lone node has no edges, so leaving and rejoining
+  // one node flips nothing and ends at the vertex count of the last read.
+  read();
+  dyn.insert({1.0, 1.0});
+  read();
+  dyn.remove(0);
+  dyn.insert({2.0, 2.0});
+  read();
+  const std::vector<Event> trace = make_trace(0x6E4, 70, 0.6);
+  std::size_t e = 0;
+  for (; e < 30; ++e) {  // a read after every event
+    step(trace[e]);
+    read();
+  }
+  for (std::size_t burst = 1; e < trace.size(); ++burst) {  // burst reads
+    for (std::size_t b = 0; b < burst && e < trace.size(); ++b, ++e) step(trace[e]);
+    read();
+    read();
+  }
+  const std::vector<std::uint64_t> expected{
+      0,  1,  1,                                                   // zero-flip corner
+      2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13, 14, 15, 16,  // a read per event
+      17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+      32, 32, 33, 33, 34, 34, 35, 35, 36, 36, 37, 37, 38, 38, 39, 39, 40, 40};  // bursts
+  EXPECT_EQ(seen, expected);
+}
+
 // The headline property suite: seed-sharded randomized traces, the
 // full-rebuild oracle asserted after EVERY event prefix.
 class ChurnTraceTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,11 +1,9 @@
 // Tests for sens/fault and the epoch serving path (DESIGN.md §2.9): pure
 // per-entity fault draws, the full-rebuild oracle over survivors, replay
-// bit-identity across thread counts, apply_edge_delta drain/regrow edge
-// cases, the degradation audit, and the EpochQueryEngine's
-// zero-uncertified-wrong verdict contract under churn. The FaultInjector /
-// FaultOracle / FaultDelta / FaultThreads / Degradation / EpochEngine
-// suites are the `fault` ctest tier (ASan CI job, `ctest --preset
-// asan-fault`).
+// bit-identity across thread counts, the degradation audit, and the
+// EpochQueryEngine's zero-uncertified-wrong verdict contract under churn.
+// The FaultInjector / FaultOracle / FaultThreads / Degradation /
+// EpochEngine suites are the `fault` ctest tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,34 +157,6 @@ TEST(FaultOracle, UdgCrashEqualsGeometricRebuild) {
   const FaultedGraph faulted = apply_faults(udg, FaultInjector{plan});
   const GeoGraph fresh = build_udg(faulted.geo.points, window, 1.0);
   EXPECT_EQ(faulted.geo.graph.edge_list(), fresh.graph.edge_list());
-}
-
-TEST(FaultDelta, DrainToEmptyAndGrowBack) {
-  const GeoGraph geo = make_udg(8.0);
-  const std::size_t n = geo.graph.num_vertices();
-  const auto edges = geo.graph.edge_list();  // sorted (u < v) ascending
-  // Drain: remove every edge and every vertex in one delta.
-  const CsrGraph empty = CsrGraph::apply_edge_delta(geo.graph, 0, edges, {});
-  EXPECT_EQ(empty.num_vertices(), 0u);
-  EXPECT_EQ(empty.num_edges(), 0u);
-  // Regrow: add everything back onto the empty graph.
-  const CsrGraph regrown = CsrGraph::apply_edge_delta(empty, n, {}, edges);
-  EXPECT_EQ(regrown.edge_list(), edges);
-  // Edges-only drain keeps the vertices as isolated slots.
-  const CsrGraph hollow = CsrGraph::apply_edge_delta(geo.graph, n, edges, {});
-  EXPECT_EQ(hollow.num_vertices(), n);
-  EXPECT_EQ(hollow.num_edges(), 0u);
-  const CsrGraph refilled = CsrGraph::apply_edge_delta(hollow, n, {}, edges);
-  EXPECT_EQ(refilled.edge_list(), edges);
-}
-
-TEST(FaultDelta, DroppedVertexMustShedItsEdges) {
-  const CsrGraph g = CsrGraph::from_edges(3, {{0, 1}, {1, 2}});
-  // Shrinking to 2 vertices without removing {1, 2} must throw.
-  EXPECT_THROW(
-      (void)CsrGraph::apply_edge_delta(g, 2, std::vector<std::pair<std::uint32_t, std::uint32_t>>{},
-                                       {}),
-      std::invalid_argument);
 }
 
 TEST(FaultThreads, ReplayBitIdenticalAcrossThreadCounts) {

@@ -108,7 +108,7 @@ TEST(Udg, MeanDegreeNearTheory) {
 TEST(Knn, SelectionsHaveSizeK) {
   const Box w{{0.0, 0.0}, {10.0, 10.0}};
   const PointSet ps = poisson_point_set(w, 2.0, 31);
-  const auto sel = knn_selections(ps.points, 5);
+  const FlatAdjacency sel = knn_selections_flat(ps.points, 5);
   ASSERT_EQ(sel.size(), ps.size());
   for (std::size_t i = 0; i < sel.size(); ++i) {
     EXPECT_EQ(sel[i].size(), std::min<std::size_t>(5, ps.size() - 1));
@@ -121,7 +121,7 @@ TEST(Knn, GraphIsUndirectedUnion) {
   const PointSet ps = poisson_point_set(w, 2.0, 33);
   const std::size_t k = 4;
   const GeoGraph g = build_knn_graph(ps.points, k);
-  const auto sel = knn_selections(ps.points, k);
+  const FlatAdjacency sel = knn_selections_flat(ps.points, k);
   for (std::uint32_t u = 0; u < ps.size(); ++u) {
     for (std::uint32_t v = u + 1; v < ps.size(); ++v) {
       const bool u_sel_v = std::find(sel[u].begin(), sel[u].end(), v) != sel[u].end();
@@ -158,18 +158,14 @@ TEST(Knn, FlatSelectionsRoundTripAgainstNested) {
   ASSERT_EQ(flat.size(), ps.size());
   ASSERT_EQ(flat.offsets.front(), 0u);
   ASSERT_EQ(flat.offsets.back(), flat.neighbors.size());
-  // Per-vertex slices equal the legacy nested shape and the kd-tree oracle.
-  const auto nested = knn_selections(ps.points, k);
+  // Per-vertex slices equal the nested per-query kd-tree answers.
   const KdTree tree(ps.points);
   for (std::size_t i = 0; i < flat.size(); ++i) {
     EXPECT_EQ(flat.degree(i), std::min(k, ps.size() - 1));
     const auto slice = flat[i];
-    EXPECT_TRUE(std::equal(slice.begin(), slice.end(), nested[i].begin(), nested[i].end()));
     const auto oracle = tree.nearest(ps.points[i], k, static_cast<std::uint32_t>(i));
     EXPECT_TRUE(std::equal(slice.begin(), slice.end(), oracle.begin(), oracle.end()));
   }
-  // to_nested round-trips exactly.
-  EXPECT_EQ(flat.to_nested(), nested);
 }
 
 TEST(Knn, FlatSelectionsKLargerThanN) {

@@ -410,85 +410,6 @@ TEST(Csr, ReverseArcRoundTripOnPinnedSeed) {
   }
 }
 
-// --- CsrGraph::apply_edge_delta: the sens/dynamic overlay patcher --------
-
-TEST(CsrEdgeDelta, RandomDeltasMatchFromEdgesOracle) {
-  // Random base graph, then random removed/added splits; the patched graph
-  // must be bit-identical (edge list AND adjacency order) to rebuilding
-  // from the updated edge set.
-  Rng rng(0xDE17A);
-  for (std::uint64_t round = 0; round < 30; ++round) {
-    const std::size_t n = 8 + rng.uniform_index(40);
-    const CsrGraph g = CsrGraph::from_edges(n, random_edges(n, 3 * n, 0xDE17A + round));
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> removed, kept, added;
-    for (const auto& e : g.edge_list()) {
-      (rng.bernoulli(0.3) ? removed : kept).push_back(e);
-    }
-    // Candidate additions: sample absent pairs (sorted unique, u < v).
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto u = static_cast<std::uint32_t>(rng.uniform_index(n));
-      const auto v = static_cast<std::uint32_t>(rng.uniform_index(n));
-      if (u == v || g.has_edge(u, v)) continue;
-      added.emplace_back(std::min(u, v), std::max(u, v));
-    }
-    std::sort(added.begin(), added.end());
-    added.erase(std::unique(added.begin(), added.end()), added.end());
-
-    const CsrGraph patched = CsrGraph::apply_edge_delta(g, n, removed, added);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> want = kept;
-    want.insert(want.end(), added.begin(), added.end());
-    const CsrGraph oracle = CsrGraph::from_edges(n, want);
-    ASSERT_EQ(patched.edge_list(), oracle.edge_list()) << "round " << round;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const auto a = patched.neighbors(v);
-      const auto b = oracle.neighbors(v);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "vertex " << v;
-    }
-    // Arc view must be rebuilt consistently (reverse arcs are involutions).
-    for (std::size_t arc = 0; arc < patched.num_arcs(); ++arc) {
-      ASSERT_EQ(patched.reverse_arc(patched.reverse_arc(arc)), arc);
-    }
-  }
-}
-
-TEST(CsrEdgeDelta, GrowsAndShrinksVertexSet) {
-  using Delta = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-  const CsrGraph g = CsrGraph::from_edges(3, {{0, 1}, {1, 2}});
-  // Grow: new vertex 3 picks up an edge.
-  const CsrGraph grown = CsrGraph::apply_edge_delta(g, 4, {}, Delta{{2, 3}});
-  EXPECT_EQ(grown.num_vertices(), 4u);
-  EXPECT_TRUE(grown.has_edge(2, 3));
-  // Shrink: dropping vertex 3 requires removing its whole edge set.
-  const CsrGraph back = CsrGraph::apply_edge_delta(grown, 3, Delta{{2, 3}}, {});
-  EXPECT_EQ(back.edge_list(), g.edge_list());
-  // Shrink to empty.
-  const CsrGraph none = CsrGraph::apply_edge_delta(back, 0, Delta{{0, 1}, {1, 2}}, {});
-  EXPECT_EQ(none.num_vertices(), 0u);
-  EXPECT_EQ(none.num_edges(), 0u);
-}
-
-TEST(CsrEdgeDelta, ValidatesItsContract) {
-  const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {1, 2}});
-  using Delta = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-  // Removing an absent edge / adding a present one.
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 4, Delta{{0, 2}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 4, {}, Delta{{0, 1}}),
-               std::invalid_argument);
-  // Malformed pairs: u >= v, unsorted, out of range.
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 4, Delta{{1, 0}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 4, Delta{{2, 2}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 4, Delta{{1, 2}, {0, 1}}, {}),
-               std::invalid_argument);
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 4, {}, Delta{{2, 9}}),
-               std::out_of_range);
-  // Dropping vertex 2 without removing its incident edge {1, 2}.
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, 2, Delta{{0, 1}}, {}),
-               std::invalid_argument);
-}
-
 TEST(UnionFindTest, AgreesWithComponents) {
   Rng rng(5);
   const std::size_t n = 200;

@@ -199,15 +199,6 @@ TEST(ScaleGuards, CsrBuilderRejectsHugeVertexCount) {
   EXPECT_THROW((void)std::move(b).build(std::size_t{1} << 32), std::overflow_error);
 }
 
-TEST(ScaleGuards, ApplyEdgeDeltaRejectsHugeVertexCount) {
-  // The delta path (PR 7) predates the checked builders: a grow delta to a
-  // 2^32 vertex count must throw at entry — before the counting sort would
-  // attempt a 16 GiB offsets allocation or wrap a 32-bit prefix sum.
-  const CsrGraph g = CsrGraph::from_edges(2, {{0, 1}});
-  EXPECT_THROW((void)CsrGraph::apply_edge_delta(g, std::size_t{1} << 32, {}, {}),
-               std::overflow_error);
-}
-
 TEST(ScaleGuards, FlatAdjacencyBuilderRejectsOffsetOverflow) {
   // Two vertices whose degrees each fit u32 but whose prefix sum does not:
   // the checked prefix must throw before the neighbors resize is attempted.

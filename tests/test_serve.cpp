@@ -8,15 +8,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "sens/core/sens_router.hpp"
 #include "sens/core/udg_sens.hpp"
+#include "sens/dynamic/dynamic_hng.hpp"
+#include "sens/geograph/point_set.hpp"
 #include "sens/graph/bfs.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
 #include "sens/rng/rng.hpp"
+#include "sens/serve/epoch_engine.hpp"
 #include "sens/serve/landmark_oracle.hpp"
 #include "sens/serve/query_engine.hpp"
 #include "sens/support/parallel.hpp"
@@ -313,6 +317,81 @@ TEST(ServeSingleQuery, MatchesBatchBitExact) {
   EXPECT_EQ(single_stats.queries, batch_stats.queries);
   EXPECT_EQ(single_stats.certified, batch_stats.certified);
   EXPECT_EQ(single_stats.exact, batch_stats.exact);
+}
+
+// --- entry validation: every batched form rejects a bad batch before any
+// work, leaving caller buffers untouched ---
+
+/// A valid batch over `n` vertices with one out-of-range id appended.
+std::vector<Query> batch_with_bad_id(std::size_t n) {
+  std::vector<Query> qs = make_queries(20, n, 59);
+  qs.push_back({.src = 0, .dst = static_cast<std::uint32_t>(n)});
+  return qs;
+}
+
+TEST(ServeValidation, ExactDistancesRejectsBadBatch) {
+  const TestGraph tg = make_graph(40, 20, 59);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4});
+  const auto bad = batch_with_bad_id(tg.graph.num_vertices());
+  std::vector<double> out(bad.size(), -1.0);
+  EXPECT_THROW(engine.exact_distances(bad, out), std::out_of_range);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double d) { return d == -1.0; }));
+  const auto good = make_queries(10, tg.graph.num_vertices(), 59);
+  std::vector<double> short_out(good.size() - 1);
+  EXPECT_THROW(engine.exact_distances(good, short_out), std::invalid_argument);
+}
+
+TEST(ServeValidation, EstimateDistancesRejectsBadBatch) {
+  const TestGraph tg = make_graph(40, 20, 61);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4});
+  const auto bad = batch_with_bad_id(tg.graph.num_vertices());
+  std::vector<double> out(bad.size(), -1.0);
+  EXPECT_THROW((void)engine.estimate_distances(bad, out), std::out_of_range);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double d) { return d == -1.0; }));
+  const auto good = make_queries(10, tg.graph.num_vertices(), 61);
+  std::vector<double> long_out(good.size() + 1);
+  EXPECT_THROW((void)engine.estimate_distances(good, long_out), std::invalid_argument);
+}
+
+TEST(ServeValidation, HopDistancesRejectsBadBatch) {
+  const TestGraph tg = make_graph(40, 20, 67);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4});
+  const auto bad = batch_with_bad_id(tg.graph.num_vertices());
+  std::vector<std::uint32_t> out(bad.size(), 7u);
+  EXPECT_THROW(engine.hop_distances(bad, out), std::out_of_range);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::uint32_t h) { return h == 7u; }));
+  const auto good = make_queries(10, tg.graph.num_vertices(), 67);
+  std::vector<std::uint32_t> short_out(good.size() - 1);
+  EXPECT_THROW(engine.hop_distances(good, short_out), std::invalid_argument);
+}
+
+TEST(ServeValidation, RoutesRejectsOutOfRangeIds) {
+  const TestGraph tg = make_graph(40, 20, 71);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4});
+  const auto bad = batch_with_bad_id(tg.graph.num_vertices());
+  std::vector<std::uint32_t> offsets{42};
+  std::vector<std::uint32_t> nodes{42};
+  EXPECT_THROW(engine.routes(bad, offsets, nodes), std::out_of_range);
+  EXPECT_EQ(offsets, std::vector<std::uint32_t>{42});
+  EXPECT_EQ(nodes, std::vector<std::uint32_t>{42});
+}
+
+// The epoch engine answers an out-of-epoch id as kStale by design; only a
+// mis-sized output span is an error.
+TEST(ServeValidation, EpochServeRejectsMisSizedSpans) {
+  const DynamicHng dyn(poisson_point_set(Box{{0.0, 0.0}, {6.0, 6.0}}, 2.0, 73).points,
+                       {.promote_p = 0.25, .k = 3}, 73);
+  const EpochQueryEngine engine(dyn, {.num_landmarks = 4});
+  const auto qs = batch_with_bad_id(dyn.size());
+  std::vector<double> out(qs.size());
+  std::vector<Verdict> verdicts(qs.size());
+  std::vector<double> short_out(qs.size() - 1);
+  std::vector<Verdict> short_verdicts(qs.size() - 1);
+  EXPECT_THROW((void)engine.serve(qs, short_out, verdicts), std::invalid_argument);
+  EXPECT_THROW((void)engine.serve(qs, out, short_verdicts), std::invalid_argument);
+  const EpochServeStats stats = engine.serve(qs, out, verdicts);
+  EXPECT_EQ(stats.stale, 1u);
+  EXPECT_EQ(verdicts.back(), Verdict::kStale);
 }
 
 // --- the §2.6 serving contract under real concurrency (TSan tier) ---
