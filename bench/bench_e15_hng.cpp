@@ -22,7 +22,6 @@
 #include "sens/graph/dijkstra.hpp"
 #include "sens/hng/hng.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/kdtree.hpp"
 #include "sens/support/stats.hpp"
 #include "sens/tiles/classify.hpp"
 #include "sens/tiles/nn_tile.hpp"
@@ -115,8 +114,7 @@ int main(int argc, char** argv) {
   nn_window.height = static_cast<std::int32_t>(
       static_cast<std::int64_t>(std::floor(nn_box.hi.y / nn_spec.side())) - nn_window.j0);
   const NnClassification nn_cls = classify_nn(nn_spec, nn_points, nn_window);
-  const KdTree nn_tree(nn_points);
-  const Overlay nn_ov = build_nn_overlay(nn_cls, nn_points, nn_tree);
+  const Overlay nn_ov = build_nn_overlay(nn_cls, nn_points);
   cost.add_row({"NN-SENS (classify + overlay)", Table::fmt(build_timer.millis(), 2)});
 
   // The p-thinning hierarchy: |S_l| should decay geometrically with ratio

@@ -22,7 +22,6 @@
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/spatial/grid_knn_pyramid.hpp"
-#include "sens/spatial/kdtree.hpp"
 #include "sens/spatial/reorder.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/tiles/classify.hpp"
@@ -87,58 +86,10 @@ void BM_BuildKnnGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildKnnGraph)->Arg(8)->Arg(32);
 
-void BM_KdTreeQuery(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {64.0, 64.0}};
-  const PointSet ps = poisson_point_set(w, 2.0, 11);
-  const KdTree tree(ps.points);
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.nearest(ps.points[i % ps.size()], 16, static_cast<std::uint32_t>(i % ps.size())));
-    ++i;
-  }
-}
-BENCHMARK(BM_KdTreeQuery);
-
-void BM_KdTreeQueryScratch(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {64.0, 64.0}};
-  const PointSet ps = poisson_point_set(w, 2.0, 11);
-  const KdTree tree(ps.points);
-  KdTree::QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    tree.nearest_into(ps.points[i % ps.size()], 16, static_cast<std::uint32_t>(i % ps.size()),
-                      scratch, out);
-    benchmark::DoNotOptimize(out.data());
-    ++i;
-  }
-}
-BENCHMARK(BM_KdTreeQueryScratch);
-
-// The k-NN selection kernel, seed shape (PR 2): one allocating `nearest`
-// call per point, results in a nested vector<vector>. Serial loop so the
-// ratio against BM_KnnSelectScratch isolates the per-query cost.
-void BM_KnnSelectAlloc(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {32.0, 32.0}};
-  const PointSet ps = poisson_point_set(w, 2.0, 9);
-  const KdTree tree(ps.points);
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<std::vector<std::uint32_t>> out(ps.size());
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      out[i] = tree.nearest(ps.points[i], k, static_cast<std::uint32_t>(i));
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ps.size()));
-}
-BENCHMARK(BM_KnnSelectAlloc)->Arg(8)->Arg(32)->Arg(188);
-
-// Same kernel, allocation-free batched shape: `GridKnn::nearest_into` with
-// one scratch, writing flat slices (what `knn_selections_flat` runs per
-// chunk). Returns identical neighbor lists to the kd-tree path.
+// The k-NN selection kernel, allocation-free batched shape:
+// `GridKnn::nearest_into` with one scratch, writing flat slices (what
+// `knn_selections_flat` runs per chunk). Serial loop, so it isolates the
+// per-query cost.
 void BM_KnnSelectScratch(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {32.0, 32.0}};
   const PointSet ps = poisson_point_set(w, 2.0, 9);
@@ -228,18 +179,6 @@ BENCHMARK(BM_GridKnnBatch)
     ->Args({65536, 1})
     ->Args({524288, 0})
     ->Args({524288, 1});
-
-void BM_GridRadiusAlloc(benchmark::State& state) {
-  const Box w{{0.0, 0.0}, {48.0, 48.0}};
-  const PointSet ps = poisson_point_set(w, 4.0, 7);
-  const GridIndex index(ps.points, w, 1.0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.query_radius(ps.points[i % ps.size()], 1.0).data());
-    ++i;
-  }
-}
-BENCHMARK(BM_GridRadiusAlloc);
 
 void BM_GridRadiusInto(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {48.0, 48.0}};

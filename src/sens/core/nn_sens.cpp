@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "sens/spatial/grid_knn.hpp"
+
 namespace sens {
 
 namespace {
@@ -12,7 +14,7 @@ namespace {
 /// through one reused scratch buffer, so only the cached result allocates.
 class KnnEdgeOracle {
  public:
-  KnnEdgeOracle(const KdTree& tree, std::size_t k) : tree_(&tree), k_(k) {}
+  KnnEdgeOracle(std::span<const Vec2> points, std::size_t k) : index_(points, k), k_(k) {}
 
   [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t v) {
     return selects(u, v) || selects(v, u);
@@ -22,24 +24,23 @@ class KnnEdgeOracle {
   [[nodiscard]] bool selects(std::uint32_t from, std::uint32_t to) {
     auto it = cache_.find(from);
     if (it == cache_.end()) {
-      tree_->nearest_into(tree_->points()[from], k_, from, scratch_, found_);
+      index_.nearest_into(index_.points()[from], k_, from, scratch_, found_);
       std::sort(found_.begin(), found_.end());
       it = cache_.emplace(from, found_).first;
     }
     return std::binary_search(it->second.begin(), it->second.end(), to);
   }
 
-  const KdTree* tree_;
+  GridKnn index_;
   std::size_t k_;
-  KdTree::QueryScratch scratch_;
+  GridKnn::QueryScratch scratch_;
   std::vector<std::uint32_t> found_;
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> cache_;
 };
 
 }  // namespace
 
-Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points,
-                         const KdTree& tree) {
+Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points) {
   Overlay ov;
   ov.window = cls.window;
   ov.tile_side = 10.0 * cls.a;
@@ -55,7 +56,7 @@ Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> poin
     return it->second;
   };
 
-  KnnEdgeOracle oracle(tree, cls.k);
+  KnnEdgeOracle oracle(points, cls.k);
   CsrGraph::Builder edges;
   auto try_edge = [&](std::uint32_t a, std::uint32_t b) {
     if (a == b) return;
@@ -119,8 +120,7 @@ NnSensResult build_nn_sens(const NnTileSpec& spec, int tiles_x, int tiles_y, std
   const Box sample_bounds = window.bounds(tiling).expanded(buffer_tiles * spec.side());
   result.points = poisson_point_set(sample_bounds, 1.0, seed);
   result.classification = classify_nn(spec, result.points.points, window);
-  const KdTree tree(result.points.points);
-  result.overlay = build_nn_overlay(result.classification, result.points.points, tree);
+  result.overlay = build_nn_overlay(result.classification, result.points.points);
   return result;
 }
 

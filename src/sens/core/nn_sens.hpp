@@ -5,8 +5,8 @@
 //     neighborhoods of interior tiles are not distorted by the boundary;
 //   * overlay edges must exist in the k-NN graph NN(2, k). Existence is
 //     checked against actual k-nearest selections (edge {u,v} exists iff
-//     v in kNN(u) or u in kNN(v)), queried on demand from a kd-tree —
-//     the full 3M-edge CSR graph is never materialized.
+//     v in kNN(u) or u in kNN(v)), queried on demand from a GridKnn
+//     index — the full 3M-edge CSR graph is never materialized.
 //
 // Per Claim 2.3, when adjacent tiles are both good the 5-edge path
 // rep - E relay - C relay - C' relay - E' relay - rep' is guaranteed; the
@@ -18,15 +18,13 @@
 
 #include "sens/core/overlay.hpp"
 #include "sens/geograph/point_set.hpp"
-#include "sens/spatial/kdtree.hpp"
 #include "sens/tiles/classify.hpp"
 
 namespace sens {
 
-/// Overlay from an existing classification; `tree` must index exactly the
-/// same `points` the classification was built from.
-[[nodiscard]] Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points,
-                                       const KdTree& tree);
+/// Overlay from an existing classification over the same `points` it was
+/// built from. Edge existence is checked against NN(2, cls.k) on `points`.
+[[nodiscard]] Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points);
 
 struct NnSensResult {
   PointSet points;

@@ -25,7 +25,7 @@ bool sorted_contains(const std::vector<std::uint32_t>& v, std::uint32_t x) {
 }
 
 void require_finite(Vec2 p) {
-  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+  if (!is_finite(p)) {
     throw std::invalid_argument("DynamicHng: point coordinates must be finite");
   }
 }

@@ -22,9 +22,7 @@ FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k) {
   adj.neighbors.resize(n * deg);
   if (deg == 0) return adj;
 
-  // GridKnn returns the same neighbor lists as KdTree::nearest (same
-  // (distance, index) tie-break) and wins on the batched self-query
-  // workload; one scratch per chunk keeps the hot path allocation-free.
+  // One scratch per chunk keeps the hot path allocation-free.
   const GridKnn index(points, k);
   auto fill = [&](std::size_t begin, std::size_t end, GridKnn::QueryScratch& scratch,
                   std::vector<std::uint32_t>& found) {

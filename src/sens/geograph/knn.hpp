@@ -16,7 +16,7 @@ namespace sens {
 
 /// Directed out-neighbor lists (each vertex's min(k, n-1) nearest, sorted by
 /// (distance, index)) in flat CSR form. Built chunk-parallel with one
-/// kd-tree scratch buffer per chunk — allocation-free per query, and every
+/// GridKnn scratch buffer per chunk — allocation-free per query, and every
 /// vertex's slice is written independently, so the result is identical at
 /// any thread count.
 [[nodiscard]] FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k);

@@ -44,6 +44,9 @@ struct Vec2 {
 
 constexpr Vec2 operator*(double s, Vec2 v) { return v * s; }
 
+/// Both coordinates finite (neither NaN nor infinite).
+[[nodiscard]] inline bool is_finite(Vec2 p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
 [[nodiscard]] inline double dist(Vec2 a, Vec2 b) { return (a - b).norm(); }
 [[nodiscard]] constexpr double dist2(Vec2 a, Vec2 b) { return (a - b).norm2(); }
 

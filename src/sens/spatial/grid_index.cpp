@@ -7,12 +7,18 @@ namespace sens {
 GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
     : points_(points.begin(), points.end()), bounds_(bounds), cell_size_(cell_size) {
   if (cell_size_ <= 0.0) throw std::invalid_argument("GridIndex: cell_size <= 0");
+  if (!is_finite(bounds_.lo) || !is_finite(bounds_.hi)) {
+    throw std::invalid_argument("GridIndex: bounds must be finite");
+  }
   nx_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(bounds_.width() / cell_size_)));
   ny_ = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(bounds_.height() / cell_size_)));
 
   const std::size_t cells = nx_ * ny_;
   std::vector<std::uint32_t> counts(cells, 0);
-  for (const Vec2& p : points_) ++counts[cell_of(p)];
+  for (const Vec2& p : points_) {
+    if (!is_finite(p)) throw std::invalid_argument("GridIndex: point coordinates must be finite");
+    ++counts[cell_of(p)];
+  }
 
   offsets_.assign(cells + 1, 0);
   for (std::size_t c = 0; c < cells; ++c) offsets_[c + 1] = offsets_[c] + counts[c];
@@ -23,10 +29,8 @@ GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
 }
 
 std::size_t GridIndex::cell_of(Vec2 p) const {
-  auto ix = static_cast<long>(std::floor((p.x - bounds_.lo.x) / cell_size_));
-  auto iy = static_cast<long>(std::floor((p.y - bounds_.lo.y) / cell_size_));
-  ix = std::clamp<long>(ix, 0, static_cast<long>(nx_) - 1);
-  iy = std::clamp<long>(iy, 0, static_cast<long>(ny_) - 1);
+  const long ix = axis_cell(p.x, bounds_.lo.x, nx_);
+  const long iy = axis_cell(p.y, bounds_.lo.y, ny_);
   return static_cast<std::size_t>(iy) * nx_ + static_cast<std::size_t>(ix);
 }
 

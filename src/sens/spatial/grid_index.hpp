@@ -26,7 +26,8 @@ namespace sens {
 class GridIndex {
  public:
   /// Builds an index over `points` with cells of side `cell_size` (must be
-  /// > 0). Points outside `bounds` are clamped into the edge cells.
+  /// > 0). Points outside `bounds` are clamped into the edge cells. Throws
+  /// std::invalid_argument if a point or bound coordinate is not finite.
   GridIndex(std::span<const Vec2> points, Box bounds, double cell_size);
 
   /// Invoke `visit(j)` for every point j with dist(points[j], q) <= radius.
@@ -48,13 +49,12 @@ class GridIndex {
   template <typename Visitor>
   bool for_each_in_radius_until(Vec2 q, double radius, Visitor&& visit) const {
     const double r2 = radius * radius;
-    const long reach = std::max<long>(1, static_cast<long>(std::ceil(radius / cell_size_)));
-    const long cx = std::clamp<long>(
-        static_cast<long>(std::floor((q.x - bounds_.lo.x) / cell_size_)), 0,
-        static_cast<long>(nx_) - 1);
-    const long cy = std::clamp<long>(
-        static_cast<long>(std::floor((q.y - bounds_.lo.y) / cell_size_)), 0,
-        static_cast<long>(ny_) - 1);
+    // Rings past the far edge add nothing, so reach is capped in floating
+    // point before the conversion (a huge or infinite radius stays defined).
+    const long reach = static_cast<long>(std::clamp(
+        std::ceil(radius / cell_size_), 1.0, static_cast<double>(std::max(nx_, ny_))));
+    const long cx = axis_cell(q.x, bounds_.lo.x, nx_);
+    const long cy = axis_cell(q.y, bounds_.lo.y, ny_);
     const long y_lo = std::max<long>(cy - reach, 0);
     const long y_hi = std::min<long>(cy + reach, static_cast<long>(ny_) - 1);
     const long x_lo = std::max<long>(cx - reach, 0);
@@ -81,17 +81,19 @@ class GridIndex {
     return out.size();
   }
 
-  /// Allocating wrapper over `query_radius_into`.
-  [[nodiscard]] std::vector<std::uint32_t> query_radius(Vec2 q, double radius) const {
-    std::vector<std::uint32_t> out;
-    query_radius_into(q, radius, out);
-    return out;
-  }
-
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] std::span<const Vec2> points() const { return points_; }
 
  private:
+  /// Column/row of coordinate v along an axis of `cells` cells from `lo`,
+  /// clamped in floating point first so that any finite v (however far off
+  /// the grid) converts safely.
+  [[nodiscard]] long axis_cell(double v, double lo, std::size_t cells) const {
+    const double c = std::floor((v - lo) / cell_size_);
+    if (c <= 0.0) return 0;
+    if (c >= static_cast<double>(cells - 1)) return static_cast<long>(cells) - 1;
+    return static_cast<long>(c);
+  }
   [[nodiscard]] std::size_t cell_of(Vec2 p) const;
 
   std::vector<Vec2> points_;

@@ -76,6 +76,7 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   lo_ = points_[members[0]];
   for (const std::uint32_t m : members) {
     const Vec2 p = points_[m];
+    if (!is_finite(p)) throw std::invalid_argument("GridKnn: point coordinates must be finite");
     lo_.x = std::min(lo_.x, p.x);
     lo_.y = std::min(lo_.y, p.y);
     hi.x = std::max(hi.x, p.x);
@@ -161,6 +162,9 @@ void GridKnn::within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) co
 
 void GridKnn::insert_member(std::uint32_t id) {
   if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
+  if (!is_finite(points_[id])) {
+    throw std::invalid_argument("GridKnn: point coordinates must be finite");
+  }
   spill_.push_back(id);
   ++live_;
   maybe_compact();

@@ -6,10 +6,11 @@
 // ring expansion touches O(k) candidates with no tree traversal at all.
 // This engine is exact (not approximate): rings expand until the k-th best
 // distance provably beats the nearest unscanned cell boundary, and ties are
-// broken by (distance, index) exactly like `KdTree::nearest`, so both
-// engines return identical neighbor lists on any input (asserted by
-// `GridKnnParamTest.MatchesKdTreeOracle`). `knn_selections_flat` drives it
-// chunk-parallel with one scratch per chunk (DESIGN.md §2.3).
+// broken by (distance, index), so the neighbor lists equal a brute-force
+// sort of every point on any input (asserted by
+// `GridKnnParamTest.MatchesBruteForceOracle`). It is the library's only k-NN
+// engine: `knn_selections_flat` drives it chunk-parallel with one scratch
+// per chunk (DESIGN.md §2.3), and the NN-SENS overlay queries it lazily.
 //
 // Cell size is tuned at construction for an expected query size k; queries
 // with other k values stay exact, only ring granularity is off-tune. A
@@ -43,6 +44,7 @@ class GridKnn {
  public:
   /// Build over `points`, tuning the cell size for queries of ~`expected_k`
   /// neighbors (any k stays exact). Bounds are the point bounding box.
+  /// Throws std::invalid_argument if a coordinate is not finite.
   GridKnn(std::span<const Vec2> points, std::size_t expected_k);
 
   /// Subset view over a *shared* point store: index only the points named in
@@ -53,6 +55,8 @@ class GridKnn {
   /// `GridKnnPyramid.LevelsMatchFreshGridKnnOracle`). The caller must keep
   /// `shared_points` alive and unmoved for the lifetime of this index; the
   /// grid geometry is tuned to the *subset's* bounding box and density.
+  /// Throws std::invalid_argument if a member's coordinate is not finite
+  /// (non-member points are never read).
   GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
           std::size_t expected_k);
 
@@ -80,7 +84,6 @@ class GridKnn {
   /// Indices of the k points nearest to `q`, excluding index `exclude`
   /// (npos = exclude nothing), sorted by (distance, index), written into
   /// `out` (cleared first; capacity reused). Returns the count written.
-  /// Identical results to `KdTree::nearest_into` on the same points.
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
 
@@ -102,7 +105,8 @@ class GridKnn {
 
   /// Admit point `id` (an index into the shared store). The coordinates of
   /// a member must not change while it is indexed. Throws std::out_of_range
-  /// on an id outside the store; admitting an id twice is undefined.
+  /// on an id outside the store and std::invalid_argument on a point whose
+  /// coordinates are not finite; admitting an id twice is undefined.
   void insert_member(std::uint32_t id);
 
   /// Retire member `id`. Throws std::invalid_argument if `id` is not

@@ -1,6 +1,5 @@
-// Tests for sens/spatial: grid index, kd-tree and grid k-NN against
-// brute-force oracles and against each other (the engines must agree
-// bit-for-bit, including (distance, index) tie-breaks).
+// Tests for sens/spatial: grid index and grid k-NN against brute-force
+// oracles (bit-for-bit, including (distance, index) tie-breaks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,8 @@
 #include "sens/spatial/grid_index.hpp"
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/spatial/grid_knn_pyramid.hpp"
-#include "sens/spatial/kdtree.hpp"
+
+#include "brute_knn.hpp"
 
 namespace sens {
 namespace {
@@ -28,10 +28,21 @@ std::vector<Vec2> random_points(std::size_t n, std::uint64_t seed, double extent
   return pts;
 }
 
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
 std::vector<std::uint32_t> brute_radius(const std::vector<Vec2>& pts, Vec2 q, double r) {
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < pts.size(); ++i)
     if (dist2(pts[i], q) <= r * r) out.push_back(i);
+  return out;
+}
+
+/// `query_radius_into` into a fresh buffer, sorted for oracle comparison.
+std::vector<std::uint32_t> sorted_radius(const GridIndex& index, Vec2 q, double r) {
+  std::vector<std::uint32_t> out;
+  index.query_radius_into(q, r, out);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -45,10 +56,7 @@ TEST_P(GridIndexParamTest, RadiusQueryMatchesBruteForce) {
   for (int t = 0; t < 50; ++t) {
     const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
     const double r = rng.uniform(0.1, 1.0);
-    auto got = index.query_radius(q, r);
-    auto want = brute_radius(pts, q, r);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(sorted_radius(index, q, r), brute_radius(pts, q, r));
   }
 }
 
@@ -57,10 +65,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexParamTest, ::testing::Range<std::uint64
 TEST(GridIndex, LargerRadiusThanCellStillExact) {
   const auto pts = random_points(300, 42);
   const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 0.5);
-  auto got = index.query_radius({5.0, 5.0}, 3.0);
-  auto want = brute_radius(pts, {5.0, 5.0}, 3.0);
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(sorted_radius(index, {5.0, 5.0}, 3.0), brute_radius(pts, {5.0, 5.0}, 3.0));
 }
 
 // The scan widens to ceil(radius / cell_size) rings, so any radius is
@@ -72,12 +77,11 @@ TEST(GridIndex, RadiusSweepsBeyondCellAreExhaustive) {
   for (int t = 0; t < 40; ++t) {
     const Vec2 q{rng.uniform(-2.0, 12.0), rng.uniform(-2.0, 12.0)};
     const double r = rng.uniform(1.0, 6.0);  // always > cell_size
-    auto got = index.query_radius(q, r);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, brute_radius(pts, q, r));
+    EXPECT_EQ(sorted_radius(index, q, r), brute_radius(pts, q, r));
   }
-  auto all = index.query_radius({0.0, 0.0}, 20.0);
-  EXPECT_EQ(all.size(), pts.size());
+  EXPECT_EQ(sorted_radius(index, {0.0, 0.0}, 20.0).size(), pts.size());
+  // A radius past every representable cell count still lists everything.
+  EXPECT_EQ(sorted_radius(index, {0.0, 0.0}, 1e300).size(), pts.size());
 }
 
 TEST(GridIndex, QueryRadiusIntoReusesBuffer) {
@@ -89,9 +93,11 @@ TEST(GridIndex, QueryRadiusIntoReusesBuffer) {
   std::vector<std::uint32_t> sorted = out;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, brute_radius(pts, {5.0, 5.0}, 1.5));
-  // Second query with the same buffer: result identical to a fresh call.
+  // Second query with the same buffer: result identical to a fresh buffer.
   index.query_radius_into({2.0, 8.0}, 0.7, out);
-  EXPECT_EQ(out, index.query_radius({2.0, 8.0}, 0.7));
+  std::vector<std::uint32_t> fresh;
+  index.query_radius_into({2.0, 8.0}, 0.7, fresh);
+  EXPECT_EQ(out, fresh);
 }
 
 TEST(GridIndex, ForEachUntilStopsEarly) {
@@ -112,7 +118,7 @@ TEST(GridIndex, ForEachUntilStopsEarly) {
 TEST(GridIndex, PointsOutsideBoundsAreClamped) {
   std::vector<Vec2> pts{{-5.0, -5.0}, {15.0, 15.0}, {5.0, 5.0}};
   const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
-  EXPECT_EQ(index.query_radius({-5.0, -5.0}, 0.5), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(sorted_radius(index, {-5.0, -5.0}, 0.5), std::vector<std::uint32_t>{0});
   EXPECT_EQ(index.size(), 3u);
 }
 
@@ -121,136 +127,35 @@ TEST(GridIndex, InvalidCellSizeThrows) {
   EXPECT_THROW(GridIndex(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, 0.0), std::invalid_argument);
 }
 
+TEST(GridIndex, RejectsNonFinitePointsAndBounds) {
+  const Box unit{{0.0, 0.0}, {1.0, 1.0}};
+  for (const Vec2 bad : {Vec2{kNan, 0.5}, Vec2{0.5, kInfinity}, Vec2{-kInfinity, -kInfinity}}) {
+    const std::vector<Vec2> pts{{0.5, 0.5}, bad};
+    EXPECT_THROW(GridIndex(pts, unit, 0.25), std::invalid_argument);
+    EXPECT_THROW(GridIndex({}, Box{{0.0, 0.0}, bad}, 0.25), std::invalid_argument);
+    EXPECT_THROW(GridIndex({}, Box{bad, {1.0, 1.0}}, 0.25), std::invalid_argument);
+  }
+  // Finite points however far off the bounds are clamped, not rejected.
+  const std::vector<Vec2> far{{1e300, -1e300}, {0.5, 0.5}};
+  const GridIndex index(far, unit, 0.25);
+  EXPECT_EQ(sorted_radius(index, {1e300, -1e300}, 1.0), std::vector<std::uint32_t>{0});
+}
+
 TEST(GridIndex, EmptyInput) {
   std::vector<Vec2> pts;
   const GridIndex index(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, 1.0);
-  EXPECT_TRUE(index.query_radius({0.5, 0.5}, 10.0).empty());
-}
-
-class KdTreeParamTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(KdTreeParamTest, NearestMatchesBruteForce) {
-  const auto pts = random_points(350, GetParam() * 31 + 5);
-  const KdTree tree(pts);
-  Rng rng(GetParam() + 12345);
-  for (int t = 0; t < 30; ++t) {
-    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-    const std::size_t k = 1 + rng.uniform_index(20);
-    const auto got = tree.nearest(q, k);
-    // Oracle: sort all points by (distance, index).
-    std::vector<std::uint32_t> want(pts.size());
-    for (std::uint32_t i = 0; i < pts.size(); ++i) want[i] = i;
-    std::sort(want.begin(), want.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const double da = dist2(pts[a], q), db = dist2(pts[b], q);
-      return da != db ? da < db : a < b;
-    });
-    want.resize(std::min(k, want.size()));
-    EXPECT_EQ(got, want);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KdTreeParamTest, ::testing::Range<std::uint64_t>(1, 9));
-
-TEST(KdTree, ExcludeSelf) {
-  const auto pts = random_points(100, 3);
-  const KdTree tree(pts);
-  const auto got = tree.nearest(pts[17], 5, 17);
-  for (const auto idx : got) EXPECT_NE(idx, 17u);
-  // Without exclusion, the point itself comes first (distance 0).
-  EXPECT_EQ(tree.nearest(pts[17], 1).front(), 17u);
-}
-
-TEST(KdTree, KLargerThanN) {
-  const auto pts = random_points(10, 8);
-  const KdTree tree(pts);
-  EXPECT_EQ(tree.nearest({5.0, 5.0}, 50).size(), 10u);
-  EXPECT_EQ(tree.nearest({5.0, 5.0}, 50, 3).size(), 9u);
-}
-
-TEST(KdTree, DuplicatePointsTieBreakByIndex) {
-  std::vector<Vec2> pts{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}};
-  const KdTree tree(pts);
-  const auto got = tree.nearest({1.0, 1.0}, 3);
-  EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2}));
-}
-
-TEST(KdTree, RadiusQueryMatchesBruteForce) {
-  const auto pts = random_points(500, 5);
-  const KdTree tree(pts);
-  Rng rng(55);
-  for (int t = 0; t < 25; ++t) {
-    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-    const double r = rng.uniform(0.2, 2.5);
-    EXPECT_EQ(tree.query_radius(q, r), brute_radius(pts, q, r));
-  }
-}
-
-TEST(KdTree, EmptyAndZeroK) {
-  std::vector<Vec2> none;
-  const KdTree tree(none);
-  EXPECT_TRUE(tree.nearest({0.0, 0.0}, 3).empty());
-  const auto pts = random_points(5, 1);
-  const KdTree t2(pts);
-  EXPECT_TRUE(t2.nearest({0.0, 0.0}, 0).empty());
-}
-
-// --- scratch-buffer overloads --------------------------------------------
-
-// `nearest_into` must equal `nearest` with one scratch reused across
-// adversarial queries: duplicates, k >= n, exclusion, mixed k sizes (the
-// sorted-array and heap candidate strategies share one scratch).
-TEST(KdTree, NearestIntoMatchesNearestOnAdversarialInputs) {
-  std::vector<Vec2> pts{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}, {1.0, 1.0}};
-  const KdTree tree(pts);
-  KdTree::QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  tree.nearest_into({1.0, 1.0}, 3, KdTree::npos, scratch, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 1, 2}));
-  tree.nearest_into({1.0, 1.0}, 3, 1, scratch, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 2, 4}));
-  // k >= n, with and without exclusion.
-  EXPECT_EQ(tree.nearest_into({0.0, 0.0}, 50, KdTree::npos, scratch, out), 5u);
-  EXPECT_EQ(out, tree.nearest({0.0, 0.0}, 50));
-  EXPECT_EQ(tree.nearest_into({0.0, 0.0}, 50, 3, scratch, out), 4u);
-  EXPECT_EQ(out, tree.nearest({0.0, 0.0}, 50, 3));
-  // Alternating k across the sorted-array / heap strategy threshold with
-  // the same scratch.
-  const auto big = random_points(400, 99);
-  const KdTree btree(big);
-  Rng rng(424);
-  for (int t = 0; t < 20; ++t) {
-    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-    for (const std::size_t k : {3ul, 60ul, 17ul, 200ul}) {
-      btree.nearest_into(q, k, KdTree::npos, scratch, out);
-      EXPECT_EQ(out, btree.nearest(q, k));
-    }
-  }
-}
-
-TEST(KdTree, QueryRadiusIntoMatchesQueryRadius) {
-  const auto pts = random_points(300, 21);
-  const KdTree tree(pts);
-  KdTree::QueryScratch scratch;
-  std::vector<std::uint32_t> out;
-  Rng rng(212);
-  for (int t = 0; t < 20; ++t) {
-    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-    const double r = rng.uniform(0.2, 2.0);
-    tree.query_radius_into(q, r, scratch, out);
-    EXPECT_EQ(out, brute_radius(pts, q, r));
-  }
+  EXPECT_TRUE(sorted_radius(index, {0.5, 0.5}, 10.0).empty());
 }
 
 // --- GridKnn: the batched k-NN engine ------------------------------------
 
 class GridKnnParamTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-// GridKnn must agree with the kd-tree bit for bit — same neighbors, same
+// GridKnn must agree with brute force bit for bit — same neighbors, same
 // order, same (distance, index) tie-breaks — across the streaming (small k)
 // and selection (large k) paths.
-TEST_P(GridKnnParamTest, MatchesKdTreeOracle) {
+TEST_P(GridKnnParamTest, MatchesBruteForceOracle) {
   const auto pts = random_points(350, GetParam() * 17 + 3);
-  const KdTree tree(pts);
   for (const std::size_t k : {1ul, 8ul, 48ul, 49ul, 120ul, 400ul}) {
     const GridKnn grid(pts, k);
     GridKnn::QueryScratch scratch;
@@ -259,12 +164,12 @@ TEST_P(GridKnnParamTest, MatchesKdTreeOracle) {
     for (int t = 0; t < 15; ++t) {
       const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
       grid.nearest_into(q, k, GridKnn::npos, scratch, got);
-      EXPECT_EQ(got, tree.nearest(q, k)) << "k=" << k;
+      EXPECT_EQ(got, brute_knn(pts, q, k)) << "k=" << k;
     }
     // Self-queries with exclusion — the batched builder's workload.
     for (std::uint32_t i = 0; i < 25; ++i) {
       grid.nearest_into(pts[i], k, i, scratch, got);
-      EXPECT_EQ(got, tree.nearest(pts[i], k, i)) << "k=" << k << " i=" << i;
+      EXPECT_EQ(got, brute_knn(pts, pts[i], k, i)) << "k=" << k << " i=" << i;
     }
   }
 }
@@ -287,6 +192,58 @@ TEST(GridKnn, DuplicatePointsAndDegenerateInputs) {
   EXPECT_EQ(out, std::vector<std::uint32_t>{0});
 }
 
+// One scratch reused across adversarial queries must match brute force:
+// duplicates with an exclusion, k >= n with and without one, zero k, an
+// empty set, and k alternating across kStreamingMaxK = 48 (the streaming
+// and selection candidate paths share the scratch).
+TEST(GridKnn, AdversarialQueriesWithOneScratchMatchBruteForce) {
+  GridKnn::QueryScratch scratch;
+  std::vector<std::uint32_t> out{7, 7};  // stale contents must vanish
+  const std::vector<Vec2> dup{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}, {1.0, 1.0}};
+  const GridKnn grid(dup, 3);
+  grid.nearest_into({1.0, 1.0}, 3, GridKnn::npos, scratch, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 1, 2}));
+  grid.nearest_into({1.0, 1.0}, 3, 1, scratch, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 2, 4}));
+  EXPECT_EQ(grid.nearest_into({0.0, 0.0}, 50, GridKnn::npos, scratch, out), 5u);
+  EXPECT_EQ(out, brute_knn(dup, {0.0, 0.0}, 50));
+  EXPECT_EQ(grid.nearest_into({0.0, 0.0}, 50, 3, scratch, out), 4u);
+  EXPECT_EQ(out, brute_knn(dup, {0.0, 0.0}, 50, 3));
+  EXPECT_EQ(grid.nearest_into({0.0, 0.0}, 0, GridKnn::npos, scratch, out), 0u);
+  EXPECT_TRUE(out.empty());
+  const GridKnn empty(std::vector<Vec2>{}, 3);
+  EXPECT_EQ(empty.nearest_into({0.0, 0.0}, 3, GridKnn::npos, scratch, out), 0u);
+  EXPECT_TRUE(out.empty());
+
+  const auto big = random_points(400, 99);
+  const GridKnn bgrid(big, 17);
+  Rng rng(424);
+  for (int t = 0; t < 20; ++t) {
+    const Vec2 q{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+    for (const std::size_t k : {3ul, 60ul, 17ul, 200ul}) {
+      bgrid.nearest_into(q, k, GridKnn::npos, scratch, out);
+      EXPECT_EQ(out, brute_knn(big, q, k)) << "k=" << k;
+    }
+  }
+}
+
+TEST(GridKnn, RejectsNonFinitePoints) {
+  for (const Vec2 bad : {Vec2{kNan, 0.0}, Vec2{0.0, kInfinity}, Vec2{-kInfinity, 1.0}}) {
+    const std::vector<Vec2> pts{{0.0, 0.0}, bad, {1.0, 1.0}};
+    EXPECT_THROW(GridKnn(pts, 2), std::invalid_argument);
+  }
+}
+
+TEST(GridKnn, SubsetViewRejectsNonFiniteMembersOnly) {
+  const std::vector<Vec2> pts{{0.0, 0.0}, {kNan, kNan}, {1.0, 1.0}};
+  const std::vector<std::uint32_t> with_bad{0, 1, 2};
+  EXPECT_THROW(GridKnn(pts, with_bad, 1), std::invalid_argument);
+  // A non-finite point outside the member list is never read.
+  const std::vector<std::uint32_t> finite_only{0, 2};
+  const GridKnn view(pts, finite_only, 1);
+  EXPECT_EQ(view.size(), 2u);
+}
+
 // --- GridKnnPyramid: per-level subset views over one shared store --------
 
 class GridKnnPyramidParamTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -296,7 +253,7 @@ class GridKnnPyramidParamTest : public ::testing::TestWithParam<std::uint64_t> {
 // back through the member list) — same neighbors, same order, same
 // (distance, index) tie-breaks. Member lists are ascending, so local-id
 // tie-break order equals global-id tie-break order. Mirrors
-// GridKnnParamTest.MatchesKdTreeOracle for the multi-resolution engine.
+// GridKnnParamTest.MatchesBruteForceOracle for the multi-resolution engine.
 TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
   const auto pts = random_points(420, GetParam() * 23 + 1);
   // Nested thinned subsets (keep every 2nd/4th/8th point), one grid each,
@@ -503,6 +460,15 @@ TEST(GridKnnMutation, EraseNonMemberThrowsInsertOutOfRangeThrows) {
   EXPECT_THROW(grid.insert_member(20), std::out_of_range);
 }
 
+TEST(GridKnnMutation, InsertNonFiniteMemberThrows) {
+  const std::vector<Vec2> pts{{0.0, 0.0}, {1.0, 0.0}, {kInfinity, 0.0}, {0.0, kNan}};
+  GridKnn grid(pts, std::vector<std::uint32_t>{0, 1}, 1);
+  EXPECT_THROW(grid.insert_member(2), std::invalid_argument);
+  EXPECT_THROW(grid.insert_member(3), std::invalid_argument);
+  EXPECT_EQ(grid.live_members(), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(grid.pending(), 0u);
+}
+
 // --- fixed-radius queries (the dynamic layer's repair search) --------------
 
 /// Brute-force oracle with the exact test within_into promises.
@@ -647,13 +613,12 @@ TEST(GridKnnPyramidMutation, GrowDrainRepopulateMatchesFreshPyramid) {
 TEST(GridKnn, CollinearPoints) {
   std::vector<Vec2> pts;
   for (int i = 0; i < 40; ++i) pts.push_back({0.25 * i, 2.0});
-  const KdTree tree(pts);
   const GridKnn grid(pts, 5);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
     grid.nearest_into(pts[i], 5, i, scratch, out);
-    EXPECT_EQ(out, tree.nearest(pts[i], 5, i));
+    EXPECT_EQ(out, brute_knn(pts, pts[i], 5, i));
   }
 }
 
