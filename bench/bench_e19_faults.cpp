@@ -22,6 +22,7 @@
 // Flags: --fmax F caps the crash sweep's failure fraction (default 0.5).
 // Wall-clock is printed as a table but kept out of --json; measured runs
 // are recorded in bench/BENCH_faults.json.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -59,7 +60,7 @@ struct Construction {
 std::size_t soundness_violations(const EpochQueryEngine& engine, std::span<const Query> queries,
                                  std::span<const double> out, std::span<const Verdict> verdicts) {
   const CsrGraph& g = engine.graph();
-  const std::span<const double> w = engine.arc_weights();
+  const std::span<const double> w = engine.engine().arc_weights();
   const std::size_t n = g.num_vertices();
   DijkstraScratch scratch;
   std::size_t bad = 0;
@@ -89,16 +90,16 @@ std::size_t soundness_violations(const EpochQueryEngine& engine, std::span<const
   return bad;
 }
 
-void verdict_row(Table& t, const std::string& phase, std::size_t nodes,
-                 const EpochServeStats& s, std::size_t violations) {
-  t.add_row({phase, Table::fmt_int(static_cast<long long>(s.generation)),
-             Table::fmt_int(static_cast<long long>(nodes)),
-             Table::fmt_int(static_cast<long long>(s.queries)),
-             Table::fmt_int(static_cast<long long>(s.exact)),
-             Table::fmt_int(static_cast<long long>(s.certified)),
-             Table::fmt_int(static_cast<long long>(s.disconnected)),
-             Table::fmt_int(static_cast<long long>(s.stale)),
-             Table::fmt_int(static_cast<long long>(violations))});
+/// One served batch as a verdict histogram (per answer, not per path).
+void verdict_row(Table& t, const std::string& phase, const EpochQueryEngine& engine,
+                 std::size_t nodes, std::span<const Verdict> verdicts, std::size_t violations) {
+  auto fmt = [](std::size_t x) { return Table::fmt_int(static_cast<long long>(x)); };
+  auto count = [&](Verdict v) {
+    return fmt(static_cast<std::size_t>(std::count(verdicts.begin(), verdicts.end(), v)));
+  };
+  t.add_row({phase, fmt(engine.generation()), fmt(nodes), fmt(verdicts.size()),
+             count(Verdict::kExact), count(Verdict::kCertified), count(Verdict::kDisconnected),
+             count(Verdict::kStale), fmt(violations)});
 }
 
 }  // namespace
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
   // never serve an uncertified wrong answer (contract asserted per batch).
   DynamicHng dyn(r.points.points, hng_params, env.seed);
   const std::size_t n_pre = dyn.size();
-  const EpochEngineParams eparams{.num_landmarks = 16,
+  const QueryEngineParams eparams{.num_landmarks = 16,
                                   .max_stretch = 1.25,
                                   .seed = env.seed,
                                   .selection = LandmarkSelection::kFarthestPoint};
@@ -245,17 +246,17 @@ int main(int argc, char** argv) {
 
   auto serve_span = [&] {
     const ScopedSpan span("e19/epoch-serve");
-    return engine.serve(queries, out, verdicts);
+    (void)engine.serve(queries, out, verdicts);
   };
   auto refresh_span = [&] {
     const ScopedSpan span("e19/epoch-refresh");
     return engine.refresh();
   };
 
-  const EpochServeStats pre = serve_span();
+  serve_span();
   std::size_t bad = soundness_violations(engine, queries, out, verdicts);
   total_violations += bad;
-  verdict_row(serve_t, "pre-churn", dyn.size(), pre, bad);
+  verdict_row(serve_t, "pre-churn", engine, dyn.size(), verdicts, bad);
 
   // Wave 1: a 30% crash wave, planned by the injector over the *slots* of
   // the dynamic structure and applied in descending slot order so every
@@ -285,10 +286,10 @@ int main(int argc, char** argv) {
     std::cerr << "error: epoch snapshot diverged from the maintainer after the crash wave\n";
     return 1;
   }
-  const EpochServeStats post = serve_span();
+  serve_span();
   bad = soundness_violations(engine, queries, out, verdicts);
   total_violations += bad;
-  verdict_row(serve_t, "post-crash (same pre-churn queries)", dyn.size(), post, bad);
+  verdict_row(serve_t, "post-crash (same pre-churn queries)", engine, dyn.size(), verdicts, bad);
 
   // Wave 2: a rejoin wave — 15% of the original population comes back as
   // fresh uniform nodes; re-query over the *current* id space.
@@ -315,10 +316,10 @@ int main(int argc, char** argv) {
     q.src = static_cast<std::uint32_t>(qdraw2.uniform_index(dyn.size()));
     q.dst = static_cast<std::uint32_t>(qdraw2.uniform_index(dyn.size()));
   }
-  const EpochServeStats rejoin = serve_span();
+  serve_span();
   bad = soundness_violations(engine, queries, out, verdicts);
   total_violations += bad;
-  verdict_row(serve_t, "post-rejoin (fresh queries)", dyn.size(), rejoin, bad);
+  verdict_row(serve_t, "post-rejoin (fresh queries)", engine, dyn.size(), verdicts, bad);
 
   step_timer.reset();
   const EpochQueryEngine rebuilt(dyn, eparams);

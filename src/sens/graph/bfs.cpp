@@ -71,11 +71,6 @@ std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source, std::uint32_
   return bfs_run(g, source, scratch, target) ? scratch.dist[target] : kUnreachable;
 }
 
-std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source, std::uint32_t target) {
-  BfsScratch scratch;
-  return bfs_distance(g, source, target, scratch);
-}
-
 bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                    BfsScratch& scratch, std::vector<std::uint32_t>& path) {
   path.clear();
@@ -86,14 +81,6 @@ bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target
   }
   std::reverse(path.begin(), path.end());
   return true;
-}
-
-std::vector<std::uint32_t> bfs_path(const CsrGraph& g, std::uint32_t source,
-                                    std::uint32_t target) {
-  BfsScratch scratch;
-  std::vector<std::uint32_t> path;
-  bfs_path_into(g, source, target, scratch, path);
-  return path;
 }
 
 void bfs_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,

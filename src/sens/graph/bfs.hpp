@@ -3,10 +3,10 @@
 // multi-source `bfs_many`. Distances use uint32 with `kUnreachable` as the
 // sentinel.
 //
-// Hot-path queries are allocation-free: the caller owns a `BfsScratch`
-// whose distance/parent arrays are timestamp-versioned, so consecutive
-// sources skip the O(n) clear (DESIGN.md §2.4). The legacy allocating
-// signatures remain as thin wrappers.
+// Queries are allocation-free: the caller owns a `BfsScratch` whose
+// distance/parent arrays are timestamp-versioned, so consecutive sources
+// skip the O(n) clear (DESIGN.md §2.4). Only the whole-row forms
+// (`bfs_distances`, `bfs_many`) also come as allocating one-shots.
 #pragma once
 
 #include <algorithm>
@@ -61,16 +61,12 @@ void bfs_distances_into(const CsrGraph& g, std::uint32_t source, BfsScratch& scr
 /// kUnreachable when disconnected.
 [[nodiscard]] std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source,
                                          std::uint32_t target, BfsScratch& scratch);
-[[nodiscard]] std::uint32_t bfs_distance(const CsrGraph& g, std::uint32_t source,
-                                         std::uint32_t target);
 
 /// Shortest hop path from source to target written into `path` (cleared;
 /// empty when disconnected; includes both endpoints). Returns true when
 /// the target was reached.
 bool bfs_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                    BfsScratch& scratch, std::vector<std::uint32_t>& path);
-[[nodiscard]] std::vector<std::uint32_t> bfs_path(const CsrGraph& g, std::uint32_t source,
-                                                  std::uint32_t target);
 
 /// Batched multi-source hop distances, chunk-parallel over `sources`: row i
 /// of `out` (stride n, size sources.size() * n) receives the distances from

@@ -18,14 +18,8 @@ struct SpanWeight {
   double operator()(std::size_t arc, std::uint32_t, std::uint32_t) const { return w[arc]; }
 };
 
-}  // namespace
-
-void export_costs(const DijkstraScratch& s, std::span<double> out) {
-  for (std::size_t v = 0; v < out.size(); ++v) {
-    out[v] = s.stamp[v] == s.epoch ? s.dist[v] : kInfCost;
-  }
-}
-
+/// Walk the parent chain of a finished run into `path` (cleared; empty when
+/// `target` was not reached; includes both endpoints).
 void export_path(const DijkstraScratch& s, std::uint32_t source, std::uint32_t target,
                  std::vector<std::uint32_t>& path) {
   path.clear();
@@ -37,6 +31,14 @@ void export_path(const DijkstraScratch& s, std::uint32_t source, std::uint32_t t
   std::reverse(path.begin(), path.end());
 }
 
+}  // namespace
+
+void export_costs(const DijkstraScratch& s, std::span<double> out) {
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    out[v] = s.stamp[v] == s.epoch ? s.dist[v] : kInfCost;
+  }
+}
+
 }  // namespace detail
 
 void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
@@ -46,24 +48,10 @@ void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
   detail::export_costs(scratch, out);
 }
 
-std::vector<double> dijkstra_costs(const CsrGraph& g, std::uint32_t source,
-                                   std::span<const double> arc_weights) {
-  DijkstraScratch scratch;
-  std::vector<double> out(g.num_vertices());
-  dijkstra_costs_into(g, source, arc_weights, scratch, out);
-  return out;
-}
-
 double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                      std::span<const double> arc_weights, DijkstraScratch& scratch) {
   detail::dijkstra_run(g, source, detail::SpanWeight{arc_weights.data()}, scratch, target);
   return scratch.reached(target) ? scratch.dist[target] : kInfCost;
-}
-
-double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
-                     std::span<const double> arc_weights) {
-  DijkstraScratch scratch;
-  return dijkstra_cost(g, source, target, arc_weights, scratch);
 }
 
 bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
@@ -72,15 +60,6 @@ bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t t
   detail::dijkstra_run(g, source, detail::SpanWeight{arc_weights.data()}, scratch, target);
   detail::export_path(scratch, source, target, path);
   return !path.empty();
-}
-
-std::vector<std::uint32_t> dijkstra_path(const CsrGraph& g, std::uint32_t source,
-                                         std::uint32_t target,
-                                         std::span<const double> arc_weights) {
-  DijkstraScratch scratch;
-  std::vector<std::uint32_t> path;
-  dijkstra_path_into(g, source, target, arc_weights, scratch, path);
-  return path;
 }
 
 void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> sources,

@@ -187,11 +187,6 @@ void dijkstra_run(const CsrGraph& g, std::uint32_t source, ArcWeight&& w, Dijkst
 /// Copy a finished run's costs into a caller buffer (unreached = kInfCost).
 void export_costs(const DijkstraScratch& s, std::span<double> out);
 
-/// Walk the parent chain of a finished run into `path` (cleared; empty when
-/// `target` was not reached; includes both endpoints).
-void export_path(const DijkstraScratch& s, std::uint32_t source, std::uint32_t target,
-                 std::vector<std::uint32_t>& path);
-
 template <typename WeightFn>
 concept EndpointWeight = std::is_invocable_r_v<double, WeightFn, std::uint32_t, std::uint32_t>;
 
@@ -205,23 +200,15 @@ void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source,
                          std::span<const double> arc_weights, DijkstraScratch& scratch,
                          std::span<double> out);
 
-[[nodiscard]] std::vector<double> dijkstra_costs(const CsrGraph& g, std::uint32_t source,
-                                                 std::span<const double> arc_weights);
-
 /// Cost from source to target with early exit; kInfCost when disconnected.
 [[nodiscard]] double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                                    std::span<const double> arc_weights, DijkstraScratch& scratch);
-[[nodiscard]] double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
-                                   std::span<const double> arc_weights);
 
 /// Min-cost path into `path` (cleared; empty when unreachable; includes
 /// both endpoints). Returns true when target was reached.
 bool dijkstra_path_into(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
                         std::span<const double> arc_weights, DijkstraScratch& scratch,
                         std::vector<std::uint32_t>& path);
-[[nodiscard]] std::vector<std::uint32_t> dijkstra_path(const CsrGraph& g, std::uint32_t source,
-                                                       std::uint32_t target,
-                                                       std::span<const double> arc_weights);
 
 /// Batched multi-source costs, chunk-parallel over `sources`: row i of
 /// `out` (stride n, size sources.size() * n) receives the costs from
@@ -234,7 +221,7 @@ void dijkstra_many_into(const CsrGraph& g, std::span<const std::uint32_t> source
                                                 std::span<const std::uint32_t> sources,
                                                 std::span<const double> arc_weights);
 
-// --- template weight functors (one-off queries, tests) ---
+// --- template weight functors (one-off queries) ---
 
 template <detail::EndpointWeight WeightFn>
 void dijkstra_costs_into(const CsrGraph& g, std::uint32_t source, WeightFn&& weight,
@@ -252,28 +239,6 @@ template <detail::EndpointWeight WeightFn>
   std::vector<double> out(g.num_vertices());
   dijkstra_costs_into(g, source, std::forward<WeightFn>(weight), scratch, out);
   return out;
-}
-
-template <detail::EndpointWeight WeightFn>
-[[nodiscard]] double dijkstra_cost(const CsrGraph& g, std::uint32_t source, std::uint32_t target,
-                                   WeightFn&& weight) {
-  DijkstraScratch scratch;
-  detail::dijkstra_run(
-      g, source, [&](std::size_t, std::uint32_t u, std::uint32_t v) { return weight(u, v); },
-      scratch, target);
-  return scratch.reached(target) ? scratch.dist[target] : kInfCost;
-}
-
-template <detail::EndpointWeight WeightFn>
-[[nodiscard]] std::vector<std::uint32_t> dijkstra_path(const CsrGraph& g, std::uint32_t source,
-                                                       std::uint32_t target, WeightFn&& weight) {
-  DijkstraScratch scratch;
-  detail::dijkstra_run(
-      g, source, [&](std::size_t, std::uint32_t u, std::uint32_t v) { return weight(u, v); },
-      scratch, target);
-  std::vector<std::uint32_t> path;
-  detail::export_path(scratch, source, target, path);
-  return path;
 }
 
 }  // namespace sens

@@ -253,7 +253,7 @@ DynamicHng make_dyn(std::size_t n = 220, std::uint64_t seed = kSeed) {
 
 TEST(EpochEngine, RefreshSnapshotMatchesMaintainerBitForBit) {
   DynamicHng dyn = make_dyn();
-  EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 8, .seed = kSeed});
+  EpochQueryEngine engine(dyn, QueryEngineParams{.num_landmarks = 8, .seed = kSeed});
   EXPECT_EQ(engine.generation(), dyn.overlay_generation());
 
   Rng rng = Rng::stream(kSeed, 0xc4u);
@@ -272,10 +272,13 @@ TEST(EpochEngine, RefreshSnapshotMatchesMaintainerBitForBit) {
     EXPECT_EQ(engine.generation(), dyn.overlay_generation());
     // The epoch snapshot is the maintainer's overlay, bit for bit.
     EXPECT_EQ(engine.graph().edge_list(), dyn.overlay().edge_list()) << "round " << round;
-    ASSERT_EQ(engine.points().size(), dyn.points().size());
-    for (std::size_t i = 0; i < dyn.points().size(); ++i) {
-      EXPECT_EQ(engine.points()[i], dyn.points()[i]);
-    }
+    // ... and its weights are the Euclidean lengths over the current points.
+    const std::span<const Vec2> pts = dyn.points();
+    const std::vector<double> lengths = dyn.overlay().arc_weights(
+        [&](std::uint32_t u, std::uint32_t v) { return dist(pts[u], pts[v]); });
+    const std::span<const double> w = engine.engine().arc_weights();
+    EXPECT_TRUE(std::equal(w.begin(), w.end(), lengths.begin(), lengths.end()))
+        << "round " << round;
   }
   // Already current: a refresh is a no-op.
   const EpochRefreshStats idle = engine.refresh();
@@ -287,7 +290,7 @@ TEST(EpochEngine, RefreshSnapshotMatchesMaintainerBitForBit) {
 // however many generations the maintainer advanced in between.
 TEST(EpochEngine, RefreshAcrossManyGenerationsCopiesCurrentSnapshot) {
   DynamicHng dyn = make_dyn(120);
-  EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 6, .seed = kSeed});
+  EpochQueryEngine engine(dyn, QueryEngineParams{.num_landmarks = 6, .seed = kSeed});
   const std::uint64_t start = engine.generation();
   Rng rng = Rng::stream(kSeed, 0xc5u);
   for (int ev = 0; ev < 10; ++ev) {
@@ -316,7 +319,7 @@ void expect_verdicts_sound(const EpochQueryEngine& engine, std::span<const Query
     }
     ASSERT_TRUE(q.src < n && q.dst < n) << "query " << i;
     const double exact =
-        dijkstra_cost(engine.graph(), q.src, q.dst, engine.arc_weights(), scratch);
+        dijkstra_cost(engine.graph(), q.src, q.dst, engine.engine().arc_weights(), scratch);
     switch (verdicts[i]) {
       case Verdict::kExact:
         // Bracket-exact answers (landmark == endpoint) may differ from the
@@ -342,7 +345,7 @@ TEST(EpochEngine, ZeroUncertifiedWrongAnswersUnderChurn) {
   DynamicHng dyn = make_dyn();
   const std::size_t n_pre = dyn.size();
   EpochQueryEngine engine(
-      dyn, EpochEngineParams{.num_landmarks = 8,
+      dyn, QueryEngineParams{.num_landmarks = 8,
                              .max_stretch = 1.25,
                              .seed = kSeed,
                              .selection = LandmarkSelection::kFarthestPoint});
@@ -364,18 +367,22 @@ TEST(EpochEngine, ZeroUncertifiedWrongAnswersUnderChurn) {
   }
   std::vector<double> out(queries.size());
   std::vector<Verdict> verdicts(queries.size());
-  const EpochServeStats served = engine.serve(queries, out, verdicts);
+  const ServeStats served = engine.serve(queries, out, verdicts);
   EXPECT_EQ(served.queries, queries.size());
-  EXPECT_EQ(served.exact + served.certified + served.disconnected + served.stale,
-            served.queries);
+  // Stats count paths, verdicts are per answer.
+  auto count = [&](Verdict v) {
+    return static_cast<std::size_t>(std::count(verdicts.begin(), verdicts.end(), v));
+  };
+  EXPECT_EQ(served.certified + served.exact + served.stale, served.queries);
+  EXPECT_EQ(served.stale, count(Verdict::kStale));
+  EXPECT_EQ(served.disconnected, count(Verdict::kDisconnected));
   EXPECT_GT(served.stale, 0u);
-  EXPECT_EQ(served.generation, engine.generation());
   expect_verdicts_sound(engine, queries, out, verdicts);
 }
 
 TEST(EpochEngine, ServeBitIdenticalAcrossThreadCounts) {
   DynamicHng dyn = make_dyn(150);
-  EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 6, .seed = kSeed});
+  EpochQueryEngine engine(dyn, QueryEngineParams{.num_landmarks = 6, .seed = kSeed});
   Rng rng = Rng::stream(kSeed, 0xc7u);
   std::vector<Query> queries(200);
   for (auto& q : queries) {
@@ -399,7 +406,7 @@ TEST(EpochEngine, ServeBitIdenticalAcrossThreadCounts) {
 
 TEST(EpochEngine, DrainedToEmptyEveryAnswerIsStale) {
   DynamicHng dyn = make_dyn(60);
-  EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 4, .seed = kSeed});
+  EpochQueryEngine engine(dyn, QueryEngineParams{.num_landmarks = 4, .seed = kSeed});
   const std::size_t n_pre = dyn.size();
   while (dyn.size() > 0) dyn.remove(static_cast<std::uint32_t>(dyn.size() - 1));
   const EpochRefreshStats stats = engine.refresh();
@@ -412,7 +419,7 @@ TEST(EpochEngine, DrainedToEmptyEveryAnswerIsStale) {
   }
   std::vector<double> out(queries.size());
   std::vector<Verdict> verdicts(queries.size());
-  const EpochServeStats served = engine.serve(queries, out, verdicts);
+  const ServeStats served = engine.serve(queries, out, verdicts);
   EXPECT_EQ(served.stale, queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(verdicts[i], Verdict::kStale);
@@ -425,7 +432,7 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
   // every cross-cluster query must come back as an infinite distance —
   // explicitly, never as some certified finite guess. The plain
   // QueryEngine certifies the disconnection from the oracle bracket alone
-  // ({inf, inf} bounds); the same batch through `hop_distances` agrees.
+  // ({inf, inf} bounds); a BFS of every pair agrees.
   const GeoGraph geo = make_udg(12.0);
   FaultPlan plan;
   plan.blackouts.push_back(Box{{5.0, -1.0}, {7.0, 13.0}});  // vertical cut
@@ -458,9 +465,10 @@ TEST(EpochEngine, AllDisconnectedBatchIsExplicit) {
   EXPECT_EQ(stats.certified, queries.size());  // disconnection certifies exactly
   EXPECT_EQ(stats.exact, 0u);
   for (std::size_t i = 0; i < queries.size(); ++i) EXPECT_EQ(out[i], kInfCost);
-  std::vector<std::uint32_t> hops(queries.size());
-  plain.hop_distances(queries, hops);
-  for (std::size_t i = 0; i < queries.size(); ++i) EXPECT_EQ(hops[i], kUnreachable);
+  BfsScratch bfs;
+  for (const Query& q : queries) {
+    EXPECT_EQ(bfs_distance(faulted.geo.graph, q.src, q.dst, bfs), kUnreachable);
+  }
 }
 
 }  // namespace

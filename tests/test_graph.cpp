@@ -39,6 +39,16 @@ CsrGraph path_graph(std::size_t n) {
   return CsrGraph::from_edges(n, std::move(edges));
 }
 
+/// Costs from `source` through a fresh scratch: the reference row that
+/// reused-scratch and batched runs are compared with.
+std::vector<double> fresh_costs(const CsrGraph& g, std::uint32_t source,
+                                std::span<const double> w) {
+  DijkstraScratch scratch;
+  std::vector<double> out(g.num_vertices());
+  dijkstra_costs_into(g, source, w, scratch, out);
+  return out;
+}
+
 TEST(Csr, BuildNormalizesEdges) {
   // Duplicates, reversed duplicates and self loops all collapse.
   const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {1, 0}, {0, 1}, {2, 2}, {1, 3}});
@@ -71,21 +81,27 @@ TEST(Bfs, DistancesOnPath) {
   const CsrGraph g = path_graph(6);
   const auto dist = bfs_distances(g, 0);
   for (std::uint32_t i = 0; i < 6; ++i) EXPECT_EQ(dist[i], i);
-  EXPECT_EQ(bfs_distance(g, 0, 5), 5u);
-  EXPECT_EQ(bfs_distance(g, 2, 2), 0u);
+  BfsScratch scratch;
+  EXPECT_EQ(bfs_distance(g, 0, 5, scratch), 5u);
+  EXPECT_EQ(bfs_distance(g, 2, 2, scratch), 0u);
 }
 
 TEST(Bfs, Unreachable) {
   const CsrGraph g = CsrGraph::from_edges(4, {{0, 1}, {2, 3}});
-  EXPECT_EQ(bfs_distance(g, 0, 3), kUnreachable);
+  BfsScratch scratch;
+  EXPECT_EQ(bfs_distance(g, 0, 3, scratch), kUnreachable);
   EXPECT_EQ(bfs_distances(g, 0)[2], kUnreachable);
-  EXPECT_TRUE(bfs_path(g, 0, 3).empty());
+  std::vector<std::uint32_t> path{7};
+  EXPECT_FALSE(bfs_path_into(g, 0, 3, scratch, path));
+  EXPECT_TRUE(path.empty());
 }
 
 TEST(Bfs, PathValidAndShortest) {
   // Diamond with a long detour: 0-1-3, 0-2-3, 0-4-5-3.
   const CsrGraph g = CsrGraph::from_edges(6, {{0, 1}, {1, 3}, {0, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 3}});
-  const auto path = bfs_path(g, 0, 3);
+  BfsScratch scratch;
+  std::vector<std::uint32_t> path;
+  ASSERT_TRUE(bfs_path_into(g, 0, 3, scratch, path));
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path.front(), 0u);
   EXPECT_EQ(path.back(), 3u);
@@ -94,7 +110,9 @@ TEST(Bfs, PathValidAndShortest) {
 
 TEST(Bfs, PathSourceEqualsTarget) {
   const CsrGraph g = path_graph(3);
-  const auto path = bfs_path(g, 1, 1);
+  BfsScratch scratch;
+  std::vector<std::uint32_t> path;
+  ASSERT_TRUE(bfs_path_into(g, 1, 1, scratch, path));
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], 1u);
 }
@@ -121,18 +139,24 @@ TEST(Dijkstra, MatchesBfsWithUnitWeights) {
 TEST(Dijkstra, WeightedShortcut) {
   // 0-1-2 cheap vs direct 0-2 expensive.
   const CsrGraph g = CsrGraph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
-  auto w = [](std::uint32_t a, std::uint32_t b) {
+  const std::vector<double> w = g.arc_weights([](std::uint32_t a, std::uint32_t b) {
     return (a == 0 && b == 2) || (a == 2 && b == 0) ? 10.0 : 1.0;
-  };
-  EXPECT_DOUBLE_EQ(dijkstra_cost(g, 0, 2, w), 2.0);
-  const auto path = dijkstra_path(g, 0, 2, w);
+  });
+  DijkstraScratch scratch;
+  EXPECT_DOUBLE_EQ(dijkstra_cost(g, 0, 2, w, scratch), 2.0);
+  std::vector<std::uint32_t> path;
+  EXPECT_TRUE(dijkstra_path_into(g, 0, 2, w, scratch, path));
   EXPECT_EQ(path, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(Dijkstra, UnreachableIsInf) {
   const CsrGraph g = CsrGraph::from_edges(3, {{0, 1}});
-  EXPECT_EQ(dijkstra_cost(g, 0, 2, [](auto, auto) { return 1.0; }), kInfCost);
-  EXPECT_TRUE(dijkstra_path(g, 0, 2, [](auto, auto) { return 1.0; }).empty());
+  const std::vector<double> w(g.num_arcs(), 1.0);
+  DijkstraScratch scratch;
+  EXPECT_EQ(dijkstra_cost(g, 0, 2, w, scratch), kInfCost);
+  std::vector<std::uint32_t> path{7};
+  EXPECT_FALSE(dijkstra_path_into(g, 0, 2, w, scratch, path));
+  EXPECT_TRUE(path.empty());
 }
 
 TEST(Csr, BuilderMatchesFromEdges) {
@@ -258,7 +282,7 @@ TEST(Dijkstra, ArcWeightsMatchFunctorPath) {
   ASSERT_EQ(arcs.size(), g.num_arcs());
   for (std::uint32_t s = 0; s < n; s += 7) {
     const auto by_fn = dijkstra_costs(g, s, weight);
-    const auto by_arcs = dijkstra_costs(g, s, std::span<const double>(arcs));
+    const auto by_arcs = fresh_costs(g, s, arcs);
     ASSERT_EQ(by_fn.size(), by_arcs.size());
     EXPECT_EQ(0, std::memcmp(by_fn.data(), by_arcs.data(), by_fn.size() * sizeof(double)));
   }
@@ -274,7 +298,7 @@ TEST(Dijkstra, ScratchReuseAcrossSourcesOnDisconnectedGraph) {
   std::vector<double> out(g.num_vertices());
   for (const std::uint32_t s : {0u, 3u, 6u, 0u}) {
     dijkstra_costs_into(g, s, w, scratch, out);
-    const auto fresh = dijkstra_costs(g, s, std::span<const double>(w));
+    const auto fresh = fresh_costs(g, s, w);
     for (std::size_t v = 0; v < fresh.size(); ++v) EXPECT_EQ(out[v], fresh[v]);
   }
   // Early-exit and path queries share the same scratch.
@@ -299,7 +323,7 @@ TEST(Dijkstra, ManyMatchesSerialAndBitIdenticalAcrossThreadCounts) {
   std::vector<double> serial;
   serial.reserve(sources.size() * n);
   for (const std::uint32_t s : sources) {
-    const auto row = dijkstra_costs(g, s, std::span<const double>(w));
+    const auto row = fresh_costs(g, s, w);
     serial.insert(serial.end(), row.begin(), row.end());
   }
   for (const unsigned threads : {1u, 2u, 8u}) {

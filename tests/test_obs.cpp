@@ -238,7 +238,7 @@ TEST(ObsCounters, EpochChurnReplayIsThreadInvariant) {
   expect_thread_invariant(
       [&] {
         DynamicHng dyn(pts, HngParams{.promote_p = 0.25, .k = 3, .max_level = 48}, kSeed);
-        EpochQueryEngine engine(dyn, EpochEngineParams{.num_landmarks = 6, .seed = kSeed});
+        EpochQueryEngine engine(dyn, QueryEngineParams{.num_landmarks = 6, .seed = kSeed});
         Rng rng = Rng::stream(kSeed, 0xc4u);
         for (int ev = 0; ev < 20; ++ev) {
           if (dyn.size() > 60 && rng.bernoulli(0.5)) {
@@ -283,7 +283,9 @@ TEST(ObsCounters, DijkstraCountsPopsAndRelaxations) {
   const std::vector<double> w(g.num_arcs(), 1.0);
   auto& reg = obs::CounterRegistry::global();
   reg.reset();
-  (void)dijkstra_costs(g, 0, w);
+  DijkstraScratch scratch;
+  std::vector<double> out(g.num_vertices());
+  dijkstra_costs_into(g, 0, w, scratch, out);
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraRuns), 1u);
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraHeapPops), 5u);
   EXPECT_EQ(reg.value(obs::Counter::kDijkstraRelaxedArcs), 8u);
@@ -315,6 +317,38 @@ TEST(ObsCounters, ServeVerdictsMatchServeStats) {
   std::size_t inf = 0;
   for (const double d : out) inf += d >= kInfCost ? 1 : 0;
   EXPECT_EQ(stats.disconnected, inf);
+
+  // Epoch serving runs the same classifier, so it counts the same way;
+  // stale answers (ids from before a crash wave) bump no counter.
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {8.0, 8.0}}, 4.0, kSeed);
+  DynamicHng dyn(ps.points, HngParams{.promote_p = 0.25, .k = 3, .max_level = 48}, kSeed);
+  EpochQueryEngine epoch(dyn, QueryEngineParams{.num_landmarks = 8, .seed = kSeed});
+  const std::size_t n_pre = dyn.size();
+  for (auto slot = static_cast<std::uint32_t>(n_pre); slot-- > 0;) {
+    if (slot % 4 == 0) dyn.remove(slot);
+  }
+  (void)epoch.refresh();
+  for (Query& q : queries) {
+    q.src = static_cast<std::uint32_t>(rng.uniform_index(n_pre));
+    q.dst = static_cast<std::uint32_t>(rng.uniform_index(n_pre));
+  }
+  std::vector<Verdict> verdicts(queries.size());
+  reg.reset();
+  const ServeStats es = epoch.serve(queries, out, verdicts);
+  EXPECT_GT(es.stale, 0u);
+  EXPECT_GT(es.certified, 0u);
+  EXPECT_EQ(es.certified + es.exact + es.stale, es.queries);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleCertified), es.certified);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleFallback), es.exact);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleDisconnected), es.disconnected);
+  const std::vector<Query> stale(16, Query{.src = 0, .dst = static_cast<std::uint32_t>(n_pre)});
+  std::vector<double> stale_out(stale.size());
+  std::vector<Verdict> stale_verdicts(stale.size());
+  reg.reset();
+  EXPECT_EQ(epoch.serve(stale, stale_out, stale_verdicts).stale, stale.size());
+  EXPECT_EQ(reg.value(obs::Counter::kOracleCertified), 0u);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleFallback), 0u);
+  EXPECT_EQ(reg.value(obs::Counter::kOracleDisconnected), 0u);
 }
 
 TEST(ObsCounters, DynamicCountersMatchEventStats) {

@@ -1,5 +1,5 @@
 // Tests for sens/serve: the landmark distance oracle, the batched
-// QueryEngine (exact, estimated and route serving), and the §2.6 serving
+// QueryEngine (exact, estimated and verdict serving), and the §2.6 serving
 // contract — one shared engine, many concurrent callers, bit-identical
 // answers. The ServeConcurrency suite is the TSan-backed `concurrency`
 // ctest tier together with ParallelReentrancy in test_support.
@@ -16,7 +16,6 @@
 #include "sens/core/udg_sens.hpp"
 #include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/geograph/point_set.hpp"
-#include "sens/graph/bfs.hpp"
 #include "sens/graph/csr.hpp"
 #include "sens/graph/dijkstra.hpp"
 #include "sens/rng/rng.hpp"
@@ -78,8 +77,9 @@ TEST(ServeSmoke, ExactMatchesDijkstra) {
   const auto qs = make_queries(50, tg.graph.num_vertices(), 7);
   std::vector<double> got(qs.size());
   engine.exact_distances(qs, got);
+  DijkstraScratch scratch;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(got[i], dijkstra_cost(tg.graph, qs[i].src, qs[i].dst, tg.weights))
+    EXPECT_EQ(got[i], dijkstra_cost(tg.graph, qs[i].src, qs[i].dst, tg.weights, scratch))
         << "query " << i;
   }
 }
@@ -259,64 +259,64 @@ TEST(ServeEstimate, DisconnectedPairsCertifiedInfinite) {
   EXPECT_EQ(stats.exact, 0u);
 }
 
-TEST(ServeRoutes, PathsValidAndCostMatchesDistance) {
-  const TestGraph tg = make_graph(150, 80, 31, 6);
-  const QueryEngine engine(tg.graph, tg.weights);
-  auto qs = make_queries(60, tg.graph.num_vertices(), 31);
-  qs.push_back({10, 10});     // self: single-vertex path
-  qs.push_back({0, 152});     // disconnected: empty path
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> nodes;
-  engine.routes(qs, offsets, nodes);
-  ASSERT_EQ(offsets.size(), qs.size() + 1);
-  EXPECT_EQ(offsets.back(), nodes.size());
-  std::vector<double> exact(qs.size());
-  engine.exact_distances(qs, exact);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto path = std::span<const std::uint32_t>(nodes).subspan(
-        offsets[i], offsets[i + 1] - offsets[i]);
-    if (exact[i] >= kInfCost) {
-      EXPECT_TRUE(path.empty()) << "query " << i;
-      continue;
-    }
-    ASSERT_FALSE(path.empty()) << "query " << i;
-    EXPECT_EQ(path.front(), qs[i].src);
-    EXPECT_EQ(path.back(), qs[i].dst);
-    double cost = 0.0;
-    for (std::size_t j = 1; j < path.size(); ++j) {
-      ASSERT_TRUE(tg.graph.has_edge(path[j - 1], path[j])) << "query " << i;
-      cost += edge_weight(path[j - 1], path[j]);
-    }
-    // Same additions in the same order as the Dijkstra relaxation chain.
-    EXPECT_EQ(cost, exact[i]) << "query " << i;
+// --- verdict serving on the static engine ---
+
+/// The verdict relations of one served batch: stats count paths (bracket,
+/// Dijkstra, stale) while verdicts are per answer.
+void expect_verdict_relations(const ServeStats& stats, std::span<const double> out,
+                              std::span<const Verdict> verdicts) {
+  auto count = [&](Verdict v) {
+    return static_cast<std::size_t>(std::count(verdicts.begin(), verdicts.end(), v));
+  };
+  EXPECT_EQ(stats.queries, verdicts.size());
+  EXPECT_EQ(stats.certified + stats.exact + stats.stale, stats.queries);
+  EXPECT_EQ(stats.stale, count(Verdict::kStale));
+  EXPECT_EQ(stats.disconnected, count(Verdict::kDisconnected));
+  EXPECT_LE(count(Verdict::kCertified), stats.certified);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const bool infinite = verdicts[i] == Verdict::kStale || verdicts[i] == Verdict::kDisconnected;
+    EXPECT_EQ(out[i] >= kInfCost, infinite) << "query " << i;
   }
 }
 
-TEST(ServeHops, MatchesBfs) {
-  const TestGraph tg = make_graph(100, 50, 37, 5);
-  const QueryEngine engine(tg.graph, tg.weights);
-  const auto qs = make_queries(80, tg.graph.num_vertices(), 37);
-  std::vector<std::uint32_t> hops(qs.size());
-  engine.hop_distances(qs, hops);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(hops[i], bfs_distance(tg.graph, qs[i].src, qs[i].dst)) << "query " << i;
-  }
+TEST(ServeVerdicts, StaticServeMatchesEstimateBitExact) {
+  const TestGraph tg = make_graph(200, 120, 83, 8);
+  const QueryEngine engine(tg.graph, tg.weights,
+                           {.num_landmarks = 10, .max_stretch = 1.2, .seed = 83});
+  auto qs = make_queries(300, tg.graph.num_vertices(), 83);
+  qs.push_back({.src = 7, .dst = 7});  // exact bracket: counted certified, verdict kExact
+  std::vector<double> est(qs.size());
+  const ServeStats est_stats = engine.estimate_distances(qs, est);
+  std::vector<double> out(qs.size());
+  std::vector<Verdict> verdicts(qs.size());
+  const ServeStats stats = engine.serve(qs, out, verdicts);
+  EXPECT_EQ(0, std::memcmp(est.data(), out.data(), qs.size() * sizeof(double)));
+  EXPECT_EQ(stats.certified, est_stats.certified);
+  EXPECT_EQ(stats.exact, est_stats.exact);
+  EXPECT_EQ(stats.disconnected, est_stats.disconnected);
+  EXPECT_EQ(stats.stale, 0u);
+  EXPECT_GT(stats.disconnected, 0u) << "the island never met the giant";
+  EXPECT_EQ(out.back(), 0.0);
+  EXPECT_EQ(verdicts.back(), Verdict::kExact);
+  expect_verdict_relations(stats, out, verdicts);
 }
 
-TEST(ServeSingleQuery, MatchesBatchBitExact) {
-  const TestGraph tg = make_graph(120, 70, 41);
-  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 10, .seed = 41});
-  const auto qs = make_queries(100, tg.graph.num_vertices(), 41);
-  std::vector<double> batch(qs.size());
-  const ServeStats batch_stats = engine.estimate_distances(qs, batch);
-  RouteScratch scratch;
-  ServeStats single_stats;
+TEST(ServeVerdicts, OutOfRangeIdsAreStaleNotThrown) {
+  const TestGraph tg = make_graph(60, 30, 89);
+  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 6, .seed = 89});
+  const auto n = static_cast<std::uint32_t>(tg.graph.num_vertices());
+  std::vector<Query> qs = make_queries(40, n + 4, 89);  // a few ids past the graph
+  qs.push_back({.src = n, .dst = n});
+  std::vector<double> out(qs.size());
+  std::vector<Verdict> verdicts(qs.size());
+  ServeStats stats;
+  ASSERT_NO_THROW(stats = engine.serve(qs, out, verdicts));
+  EXPECT_GT(stats.stale, 1u);
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(engine.estimate_distance(qs[i], scratch, single_stats), batch[i]) << "query " << i;
+    const bool outside = qs[i].src >= n || qs[i].dst >= n;
+    EXPECT_EQ(verdicts[i] == Verdict::kStale, outside) << "query " << i;
   }
-  EXPECT_EQ(single_stats.queries, batch_stats.queries);
-  EXPECT_EQ(single_stats.certified, batch_stats.certified);
-  EXPECT_EQ(single_stats.exact, batch_stats.exact);
+  expect_verdict_relations(stats, out, verdicts);
 }
 
 // --- entry validation: every batched form rejects a bad batch before any
@@ -353,27 +353,35 @@ TEST(ServeValidation, EstimateDistancesRejectsBadBatch) {
   EXPECT_THROW((void)engine.estimate_distances(good, long_out), std::invalid_argument);
 }
 
-TEST(ServeValidation, HopDistancesRejectsBadBatch) {
-  const TestGraph tg = make_graph(40, 20, 67);
-  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4});
-  const auto bad = batch_with_bad_id(tg.graph.num_vertices());
-  std::vector<std::uint32_t> out(bad.size(), 7u);
-  EXPECT_THROW(engine.hop_distances(bad, out), std::out_of_range);
-  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](std::uint32_t h) { return h == 7u; }));
-  const auto good = make_queries(10, tg.graph.num_vertices(), 67);
-  std::vector<std::uint32_t> short_out(good.size() - 1);
-  EXPECT_THROW(engine.hop_distances(good, short_out), std::invalid_argument);
+// A weight array the oracle sweep and every Dijkstra would misread is
+// rejected by both constructors before any oracle work.
+void expect_weights_rejected(const CsrGraph& g, const std::vector<double>& w) {
+  EXPECT_THROW(QueryEngine(g, w, {.num_landmarks = 4}), std::invalid_argument);
+  EXPECT_THROW(QueryEngine(g, w, std::vector<std::uint32_t>{0, 1}, 1.1), std::invalid_argument);
 }
 
-TEST(ServeValidation, RoutesRejectsOutOfRangeIds) {
+TEST(ServeValidation, RejectsMisSizedArcWeights) {
+  const TestGraph tg = make_graph(40, 20, 67);
+  std::vector<double> w = tg.weights;
+  w.pop_back();
+  expect_weights_rejected(tg.graph, w);
+  w.push_back(1.0);
+  w.push_back(1.0);
+  expect_weights_rejected(tg.graph, w);
+}
+
+TEST(ServeValidation, RejectsNegativeArcWeight) {
   const TestGraph tg = make_graph(40, 20, 71);
-  const QueryEngine engine(tg.graph, tg.weights, {.num_landmarks = 4});
-  const auto bad = batch_with_bad_id(tg.graph.num_vertices());
-  std::vector<std::uint32_t> offsets{42};
-  std::vector<std::uint32_t> nodes{42};
-  EXPECT_THROW(engine.routes(bad, offsets, nodes), std::out_of_range);
-  EXPECT_EQ(offsets, std::vector<std::uint32_t>{42});
-  EXPECT_EQ(nodes, std::vector<std::uint32_t>{42});
+  std::vector<double> w = tg.weights;
+  w[w.size() / 2] = -0.5;
+  expect_weights_rejected(tg.graph, w);
+}
+
+TEST(ServeValidation, RejectsNanArcWeight) {
+  const TestGraph tg = make_graph(40, 20, 79);
+  std::vector<double> w = tg.weights;
+  w.back() = std::nan("");
+  expect_weights_rejected(tg.graph, w);
 }
 
 // The epoch engine answers an out-of-epoch id as kStale by design; only a
@@ -389,7 +397,7 @@ TEST(ServeValidation, EpochServeRejectsMisSizedSpans) {
   std::vector<Verdict> short_verdicts(qs.size() - 1);
   EXPECT_THROW((void)engine.serve(qs, short_out, verdicts), std::invalid_argument);
   EXPECT_THROW((void)engine.serve(qs, out, short_verdicts), std::invalid_argument);
-  const EpochServeStats stats = engine.serve(qs, out, verdicts);
+  const ServeStats stats = engine.serve(qs, out, verdicts);
   EXPECT_EQ(stats.stale, 1u);
   EXPECT_EQ(verdicts.back(), Verdict::kStale);
 }
@@ -439,35 +447,6 @@ TEST(ServeConcurrency, ConcurrentCallersMatchSingleThreadBitExact) {
   EXPECT_EQ(total.queries, ref_stats.queries);
   EXPECT_EQ(total.certified, ref_stats.certified);
   EXPECT_EQ(total.exact, ref_stats.exact);
-}
-
-TEST(ServeConcurrency, ConcurrentRouteServingBitExact) {
-  const TestGraph tg = make_graph(300, 160, 47, 7);
-  const QueryEngine engine(tg.graph, tg.weights);
-  const auto qs = make_queries(400, tg.graph.num_vertices(), 47);
-
-  set_thread_count(1);
-  std::vector<std::uint32_t> ref_offsets;
-  std::vector<std::uint32_t> ref_nodes;
-  engine.routes(qs, ref_offsets, ref_nodes);
-
-  // Every caller runs the identical whole batch into its own buffers.
-  set_thread_count(4);
-  constexpr std::size_t kCallers = 3;
-  std::vector<std::vector<std::uint32_t>> offsets(kCallers);
-  std::vector<std::vector<std::uint32_t>> nodes(kCallers);
-  {
-    std::vector<std::thread> callers;
-    for (std::size_t c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&, c] { engine.routes(qs, offsets[c], nodes[c]); });
-    }
-    for (auto& t : callers) t.join();
-  }
-  set_thread_count(0);
-  for (std::size_t c = 0; c < kCallers; ++c) {
-    EXPECT_EQ(offsets[c], ref_offsets) << "caller " << c;
-    EXPECT_EQ(nodes[c], ref_nodes) << "caller " << c;
-  }
 }
 
 TEST(ServeConcurrency, SharedSensRouterBatchMatchesSequential) {
