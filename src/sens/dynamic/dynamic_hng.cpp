@@ -42,11 +42,52 @@ DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
   validate_hng_params(params_);
 }
 
+/// Bulk adoption is the batch construction plus the state events maintain:
+/// the selections and pyramid come from build_hng_selections (so the
+/// oracle holds by construction), the reverse index, per-exact-level grids
+/// and radius bounds are derived from them. The overlay is built by the
+/// first read, as after any event.
 DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed)
     : DynamicHng(params, seed) {
   for (const Vec2 p : points) require_finite(p);
-  points_.reserve(points.size());
-  for (const Vec2 p : points) insert(p);
+  const std::size_t n = points.size();
+  if (n == 0) return;
+  HngSelections built = build_hng_selections(points, params_, seed_);
+  points_.assign(points.begin(), points.end());
+  level_ = std::move(built.level);
+  top_ = built.top_level;
+  pyramid_ = std::move(built.pyramid);
+  alive_.assign(n, 1);
+  dirty_flag_.assign(n, 0);
+  in_recompute_.assign(n, 0);
+  live_n_ = n;
+  for (const std::uint32_t l : level_) ++level_count_[l];
+
+  // Selections ascending; filling the reverse index in ascending u leaves
+  // every reverse list ascending too.
+  const FlatAdjacency& picks = built.selections;
+  sel_.resize(n);
+  selectors_.resize(n);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    sel_[u].assign(picks[u].begin(), picks[u].end());
+    std::sort(sel_[u].begin(), sel_[u].end());
+    for (const std::uint32_t x : sel_[u]) selectors_[x].push_back(u);
+  }
+
+  // One grid per exact level over its members (ascending), and the level's
+  // radius bound at its exact maximum.
+  std::vector<std::vector<std::uint32_t>> exact_members(top_);
+  for (std::uint32_t l = 1; l <= top_; ++l) exact_members[l - 1].reserve(level_count_[l]);
+  for (std::uint32_t u = 0; u < n; ++u) exact_members[level_[u] - 1].push_back(u);
+  exact_.reserve(top_);
+  reach2_.assign(top_, 0.0);
+  reach_age_.assign(top_, 0);
+  for (std::uint32_t l = 1; l <= top_; ++l) {
+    exact_.emplace_back(pyramid_.points(), exact_members[l - 1], params_.k);
+    for (const std::uint32_t w : exact_members[l - 1]) {
+      reach2_[l - 1] = std::max(reach2_[l - 1], worst_pick2(w));
+    }
+  }
 }
 
 double DynamicHng::dist2(std::uint32_t a, std::uint32_t b) const {

@@ -84,9 +84,13 @@ class DynamicHng {
   /// std::invalid_argument on invalid params (same rules as build_hng).
   DynamicHng(const HngParams& params, std::uint64_t seed);
 
-  /// Bulk adoption: equivalent to (and implemented as) inserting `points`
-  /// one by one in order. Throws std::invalid_argument, before adopting
-  /// anything, if a coordinate is not finite.
+  /// Bulk adoption: equivalent to inserting `points` one by one in order
+  /// (same levels, selections and overlay), but built as one batch
+  /// construction (build_hng_selections) plus the derived reverse index,
+  /// per-level grids and radius bounds. It is not an event: last_event()
+  /// stays all-zero, and the first overlay() read builds generation 1.
+  /// Throws std::invalid_argument, before adopting anything, if a
+  /// coordinate is not finite.
   DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed);
 
   DynamicHng(DynamicHng&&) noexcept = default;

@@ -42,56 +42,57 @@ std::size_t hng_link_node(const GridKnn& upper, Vec2 p, std::uint32_t self, std:
   return upper.nearest_into(p, k, self, scratch, out);
 }
 
-HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed) {
+HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams& params,
+                                   std::uint64_t seed) {
   validate_hng_params(params);
-
-  HngResult r;
-  r.geo.points.assign(points.begin(), points.end());
   const std::size_t n = points.size();
-  r.level.assign(n, 0);
-  if (n == 0) return r;
+  if (n == 0) {
+    return {.level = {}, .cumulative_size = {}, .pyramid = GridKnnPyramid(points, {}),
+            .selections = {}};
+  }
 
   // Promotion by p-thinning: node u climbs while its own stream keeps
   // drawing heads. Each node reads only its (seed, stream, u) draws, so the
   // level vector is a pure function of (seed, params) — never of the chunk
   // schedule (DESIGN.md §2.5).
+  std::vector<std::uint32_t> level(n, 0);
   parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) {
-      r.level[u] = hng_promotion_level(seed, u, params);
-    }
+    for (std::size_t u = begin; u < end; ++u) level[u] = hng_promotion_level(seed, u, params);
   });
-  r.top_level = *std::max_element(r.level.begin(), r.level.end());
+  const std::uint32_t top_level = *std::max_element(level.begin(), level.end());
 
   // Population lists S_2 ⊇ ... ⊇ S_top (S_1 is the whole input and is
   // never queried), built straight into the pyramid specs — one ascending
   // pass over the level vector, no intermediate copies. One density-tuned
   // grid per linking target, all subset views over one shared store.
-  std::vector<GridKnnPyramid::LevelSpec> specs(r.top_level >= 2 ? r.top_level - 1 : 0);
+  std::vector<GridKnnPyramid::LevelSpec> specs(top_level >= 2 ? top_level - 1 : 0);
   {
     // Count-then-fill: a node of level l appears in S_2..S_l, so one
     // histogram over the level vector plus a suffix sum yields every
     // |S_l| exactly — each member list is a single allocation instead of
     // growth-by-doubling (DESIGN.md §2.8).
-    std::vector<std::size_t> at_level(r.top_level + 1, 0);
-    for (std::uint32_t u = 0; u < n; ++u) ++at_level[r.level[u]];
+    std::vector<std::size_t> at_level(top_level + 1, 0);
+    for (std::uint32_t u = 0; u < n; ++u) ++at_level[level[u]];
     std::size_t above = 0;
-    for (std::uint32_t l = r.top_level; l >= 2; --l) {
+    for (std::uint32_t l = top_level; l >= 2; --l) {
       above += at_level[l];
       specs[l - 2].members.reserve(above);
     }
     for (std::uint32_t u = 0; u < n; ++u) {
-      for (std::uint32_t l = 2; l <= r.level[u]; ++l) {
-        specs[l - 2].members.push_back(u);
-      }
+      for (std::uint32_t l = 2; l <= level[u]; ++l) specs[l - 2].members.push_back(u);
     }
   }
   for (auto& spec : specs) spec.expected_k = std::min(params.k, spec.members.size());
-  r.cumulative_size.resize(r.top_level);
-  r.cumulative_size[0] = static_cast<std::uint32_t>(n);
-  for (std::uint32_t l = 2; l <= r.top_level; ++l) {
-    r.cumulative_size[l - 1] = static_cast<std::uint32_t>(specs[l - 2].members.size());
+  std::vector<std::uint32_t> cumulative_size(top_level);
+  cumulative_size[0] = static_cast<std::uint32_t>(n);
+  for (std::uint32_t l = 2; l <= top_level; ++l) {
+    cumulative_size[l - 1] = static_cast<std::uint32_t>(specs[l - 2].members.size());
   }
-  const GridKnnPyramid pyramid(points, specs);
+  HngSelections s{.level = std::move(level),
+                  .top_level = top_level,
+                  .cumulative_size = std::move(cumulative_size),
+                  .pyramid = GridKnnPyramid(points, specs),
+                  .selections = {}};
 
   // Directed selections: a node of exact level l < top links to its
   // min(k, |S_{l+1}|) nearest neighbors in S_{l+1}; the top-level nodes are
@@ -102,20 +103,19 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
   // otherwise (nobody promoted — astronomically rare beyond tiny n) it is
   // every node.
   std::vector<std::uint32_t> everyone;
-  if (r.top_level < 2) {
+  if (top_level < 2) {
     everyone.resize(n);
     std::iota(everyone.begin(), everyone.end(), 0u);
   }
-  const std::vector<std::uint32_t>& top =
-      r.top_level >= 2 ? specs[r.top_level - 2].members : everyone;
-  FlatAdjacency sel;
+  const std::vector<std::uint32_t>& top = top_level >= 2 ? specs[top_level - 2].members : everyone;
+  FlatAdjacency& sel = s.selections;
   sel.offsets.assign(n + 1, 0);
   std::uint64_t total = 0;
   for (std::size_t u = 0; u < n; ++u) {
-    const std::uint32_t l = r.level[u];
+    const std::uint32_t l = s.level[u];
     const std::size_t out_deg =
-        l == r.top_level ? top.size() - 1
-                         : std::min(params.k, static_cast<std::size_t>(r.cumulative_size[l]));
+        l == top_level ? top.size() - 1
+                       : std::min(params.k, static_cast<std::size_t>(s.cumulative_size[l]));
     total += out_deg;
     sel.offsets[u + 1] = checked_u32(total, "hng: selection");  // DESIGN.md §2.8
   }
@@ -125,14 +125,14 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
                   std::vector<std::uint32_t>& found) {
     for (std::size_t u = begin; u < end; ++u) {
       std::uint32_t* slot = sel.neighbors.data() + sel.offsets[u];
-      const std::uint32_t l = r.level[u];
-      if (l == r.top_level) {
+      const std::uint32_t l = s.level[u];
+      if (l == top_level) {
         for (const std::uint32_t v : top) {
           if (v != u) *slot++ = v;
         }
         continue;
       }
-      hng_link_node(pyramid.level(l - 1), points[u], static_cast<std::uint32_t>(u), params.k,
+      hng_link_node(s.pyramid.level(l - 1), points[u], static_cast<std::uint32_t>(u), params.k,
                     scratch, found);
       std::copy(found.begin(), found.end(), slot);
     }
@@ -148,8 +148,17 @@ HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::
       link(begin, end, scratch, found);
     });
   }
+  return s;
+}
 
-  r.geo.graph = CsrGraph::from_selections(std::move(sel));
+HngResult build_hng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed) {
+  HngSelections s = build_hng_selections(points, params, seed);
+  HngResult r;
+  r.geo.points.assign(points.begin(), points.end());
+  r.level = std::move(s.level);
+  r.top_level = s.top_level;
+  r.cumulative_size = std::move(s.cumulative_size);
+  if (!points.empty()) r.geo.graph = CsrGraph::from_selections(std::move(s.selections));
   return r;
 }
 

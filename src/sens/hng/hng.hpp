@@ -25,7 +25,9 @@
 
 #include "sens/geograph/geo_graph.hpp"
 #include "sens/geometry/vec2.hpp"
+#include "sens/graph/flat_adjacency.hpp"
 #include "sens/spatial/grid_knn.hpp"
+#include "sens/spatial/grid_knn_pyramid.hpp"
 
 namespace sens {
 
@@ -58,11 +60,33 @@ struct HngResult {
 [[nodiscard]] HngResult build_hng(std::span<const Vec2> points, const HngParams& params,
                                   std::uint64_t seed);
 
-// --- per-node kernels, shared with the incremental maintainer ---
-// (sens/dynamic). `build_hng` is exactly: draw every node's level with
+// --- shared with the incremental maintainer (sens/dynamic) ---
+// `build_hng` is exactly: draw every node's level with
 // `hng_promotion_level`, then link every node with `hng_link_node` /
 // the top clique rule — so an incremental structure using the same
-// kernels agrees with the batch build bit for bit (DESIGN.md §2.7).
+// kernels agrees with the batch build bit for bit (DESIGN.md §2.7). Bulk
+// adoption skips the per-node path altogether: it takes the batch
+// construction's own directed selections (`build_hng_selections`).
+
+/// The batch construction before symmetrization: what `build_hng` turns
+/// into an overlay and what DynamicHng's bulk adoption keeps.
+struct HngSelections {
+  std::vector<std::uint32_t> level;            ///< as HngResult::level
+  std::uint32_t top_level = 0;                 ///< as HngResult::top_level
+  std::vector<std::uint32_t> cumulative_size;  ///< as HngResult::cumulative_size
+  /// Level index l indexes S_{l+2} (top_level - 1 levels; none when
+  /// top_level < 2), each tuned for min(k, |S_{l+2}|)-sized queries.
+  GridKnnPyramid pyramid;
+  /// Row u: u's directed picks — its k nearest in S_{level+1} in
+  /// (distance, index) order, or the rest of the top clique ascending.
+  FlatAdjacency selections;
+};
+
+/// Levels, pyramid and directed selections of H(p, k) over `points`; same
+/// validation as build_hng. `build_hng` is this plus
+/// CsrGraph::from_selections.
+[[nodiscard]] HngSelections build_hng_selections(std::span<const Vec2> points,
+                                                 const HngParams& params, std::uint64_t seed);
 
 /// Validate `params` (same rules as build_hng); throws
 /// std::invalid_argument on violation.

@@ -32,23 +32,28 @@ std::vector<std::uint32_t> pick_uniform(std::size_t n, std::size_t want, std::ui
 /// argmax of the running min-distance-to-chosen array. Unreached reads as
 /// farthest (kInfCost), so components are covered before any is doubled;
 /// the < in the argmax scan pins ties to the lowest id. One serial
-/// Dijkstra per pivot — thread-count plays no part in the pick.
+/// Dijkstra per pivot — thread-count plays no part in the pick — and that
+/// sweep is the pivot's label row: row l of `rows` (landmark-major) holds
+/// pick l's distances, the last pick's included, so labelling needs no
+/// second sweep.
 std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const double> arc_weights,
-                                         std::size_t want, std::uint64_t seed) {
+                                         std::size_t want, std::uint64_t seed,
+                                         std::vector<double>& rows) {
   const std::size_t n = g.num_vertices();
   if (want > n) want = n;
   std::vector<std::uint32_t> picks;
   picks.reserve(want);
+  rows.resize(want * n);
   if (want == 0) return picks;
   Rng rng = Rng::stream(seed, kLandmarkStream);
   auto cur = static_cast<std::uint32_t>(rng.uniform_index(n));
   std::vector<double> min_dist(n, kInfCost);
-  std::vector<double> row(n);
   DijkstraScratch scratch;
   for (std::size_t l = 0; l < want; ++l) {
     picks.push_back(cur);
-    if (l + 1 == want) break;
+    const std::span<double> row(rows.data() + l * n, n);
     dijkstra_costs_into(g, cur, arc_weights, scratch, row);
+    if (l + 1 == want) break;
     std::uint32_t best = 0;
     double best_dist = -1.0;
     for (std::size_t v = 0; v < n; ++v) {
@@ -67,27 +72,34 @@ std::vector<std::uint32_t> pick_farthest(const CsrGraph& g, std::span<const doub
 
 LandmarkOracle LandmarkOracle::build(const CsrGraph& g, std::span<const double> arc_weights,
                                      const LandmarkOracleParams& params) {
-  if (g.num_vertices() == 0) return {};
+  const std::size_t n = g.num_vertices();
+  if (n == 0) return {};
+  if (params.selection == LandmarkSelection::kUniformRandom) {
+    return build_with(g, arc_weights, pick_uniform(n, params.num_landmarks, params.seed));
+  }
+  std::vector<double> rows;
   std::vector<std::uint32_t> picks =
-      params.selection == LandmarkSelection::kFarthestPoint
-          ? pick_farthest(g, arc_weights, params.num_landmarks, params.seed)
-          : pick_uniform(g.num_vertices(), params.num_landmarks, params.seed);
-  return build_with(g, arc_weights, std::move(picks));
+      pick_farthest(g, arc_weights, params.num_landmarks, params.seed, rows);
+  return from_rows(std::move(picks), rows, n);
 }
 
 LandmarkOracle LandmarkOracle::build_with(const CsrGraph& g, std::span<const double> arc_weights,
                                           std::vector<std::uint32_t> landmarks) {
-  LandmarkOracle oracle;
   const std::size_t n = g.num_vertices();
-  if (n == 0) return oracle;
+  if (n == 0) return {};
+  // One batched sweep: row l holds the distances from landmark l.
+  const std::vector<double> rows = dijkstra_many(g, landmarks, arc_weights);
+  return from_rows(std::move(landmarks), rows, n);
+}
+
+LandmarkOracle LandmarkOracle::from_rows(std::vector<std::uint32_t> landmarks,
+                                         std::span<const double> rows, std::size_t n) {
+  // Rows are landmark-major; queries read all landmarks of one vertex at
+  // once, so transpose into node-major labels (each slot written exactly
+  // once — bit-identical at any thread count).
+  LandmarkOracle oracle;
   oracle.landmarks_ = std::move(landmarks);
   const std::size_t num = oracle.landmarks_.size();
-
-  // One batched sweep: row l holds the distances from landmark l
-  // (landmark-major). Queries read all landmarks of one vertex at once, so
-  // transpose into node-major labels (each slot written exactly once —
-  // bit-identical at any thread count).
-  const std::vector<double> rows = dijkstra_many(g, oracle.landmarks_, arc_weights);
   oracle.labels_.resize(n * num);
   parallel_for(n, [&](std::size_t v) {
     for (std::size_t l = 0; l < num; ++l) {

@@ -14,10 +14,11 @@
 // without touching the graph; otherwise it falls back to exact Dijkstra
 // (sens/serve/query_engine.hpp owns that policy).
 //
-// Determinism: landmarks are drawn from the seeded rng stream, the label
-// sweep is one batched `dijkstra_many` call (bit-identical at any thread
-// count, §2.4), and `bounds` is a pure function of the labels — so every
-// oracle answer is a pure function of (graph, weights, params, query).
+// Determinism: landmarks are drawn from the seeded rng stream, every label
+// row is one single-source Dijkstra sweep per landmark (a pure function of
+// graph, weights and source, so bit-identical at any thread count, §2.4),
+// and `bounds` is a pure function of the labels — so every oracle answer
+// is a pure function of (graph, weights, params, query).
 //
 // Disconnected pairs are detected exactly whenever some landmark reaches one
 // endpoint but not the other (the pair then straddles two components):
@@ -41,9 +42,11 @@ namespace sens {
 ///    repeatedly the vertex maximizing the minimum weighted distance to
 ///    the chosen set (unreached vertices count as infinitely far, so every
 ///    component gets a pivot before any component gets two; ties break to
-///    the lowest id). Serial by design — L Dijkstra sweeps at build time —
-///    so the pick is identical at any --threads. Farthest pivots spread
-///    the bracket's coverage and cut the exact-fallback rate (E17/E19).
+///    the lowest id). Serial by design, so the pick is identical at any
+///    --threads. Each pick's sweep is also its label row, so the build
+///    costs L Dijkstra sweeps, as many as labelling alone. Farthest pivots
+///    spread the bracket's coverage and cut the exact-fallback rate
+///    (E17/E19).
 enum class LandmarkSelection : std::uint8_t {
   kUniformRandom = 0,
   kFarthestPoint = 1,
@@ -67,8 +70,10 @@ class LandmarkOracle {
   LandmarkOracle() = default;
 
   /// Pick landmarks deterministically from the seeded rng stream and label
-  /// every vertex with its exact distance to each landmark (one batched
-  /// `dijkstra_many` sweep). `arc_weights` must be aligned with the arcs of
+  /// every vertex with its exact distance to each landmark: one Dijkstra
+  /// sweep per landmark either way (kUniformRandom: one batched
+  /// `dijkstra_many`; kFarthestPoint: the pick's own serial sweeps, whose
+  /// rows are the labels). `arc_weights` must be aligned with the arcs of
   /// `g` (CsrGraph::arc_weights).
   [[nodiscard]] static LandmarkOracle build(const CsrGraph& g,
                                             std::span<const double> arc_weights,
@@ -114,6 +119,11 @@ class LandmarkOracle {
   }
 
  private:
+  /// Transpose landmark-major distance rows (row l: distances from
+  /// landmarks[l] to all n vertices) into the node-major label array.
+  [[nodiscard]] static LandmarkOracle from_rows(std::vector<std::uint32_t> landmarks,
+                                                std::span<const double> rows, std::size_t n);
+
   std::vector<std::uint32_t> landmarks_;  ///< pivot vertex ids, pick order
   std::vector<double> labels_;            ///< node-major: labels_[v * L + l]
 };

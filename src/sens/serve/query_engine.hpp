@@ -80,8 +80,9 @@ struct QueryEngineParams {
   double max_stretch = 1.1;
   std::uint64_t seed = 0x5eed5eed5eedULL;
   /// Pivot-pick policy, passed through to the oracle
-  /// (serve/landmark_oracle.hpp). Farthest-point costs L extra Dijkstra
-  /// sweeps at build time and cuts the exact-fallback rate at serve time.
+  /// (serve/landmark_oracle.hpp). Farthest-point costs no extra Dijkstra
+  /// sweeps at build time (the pick's sweeps are the labels, though they
+  /// run serially) and cuts the exact-fallback rate at serve time.
   LandmarkSelection selection = LandmarkSelection::kUniformRandom;
 };
 

@@ -8,6 +8,7 @@
 // traces and checks that full-rebuild oracle after EVERY prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -18,7 +19,9 @@
 #include "sens/dynamic/dynamic_hng.hpp"
 #include "sens/geograph/point_set.hpp"
 #include "sens/hng/hng.hpp"
+#include "sens/obs/obs.hpp"
 #include "sens/rng/rng.hpp"
+#include "sens/serve/landmark_oracle.hpp"
 #include "sens/support/parallel.hpp"
 
 namespace sens {
@@ -153,15 +156,96 @@ TEST(DynamicHng, RemoveInvalidSlotThrows) {
   EXPECT_THROW(dyn.remove(1), std::out_of_range);
 }
 
-// The bulk constructor is insert() in a loop, so one oracle check covers
-// ~700 consecutive join events; the event stats must account for the last
-// joiner itself.
+// Bulk adoption is one batch construction, not a run of events: the
+// oracle holds, no event stats are recorded, and the first read builds
+// overlay generation 1.
 TEST(DynamicHng, BulkAdoptionMatchesBatchBuild) {
   const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {18.0, 18.0}}, 2.0, 0xD15);
   const DynamicHng dyn(ps.points, {.promote_p = 0.25, .k = 3}, 0xD15);
   EXPECT_EQ(dyn.size(), ps.size());
   EXPECT_TRUE(matches_oracle(dyn));
-  EXPECT_GE(dyn.last_event().relinked, 1u);
+  const DynamicHngStats& last = dyn.last_event();
+  EXPECT_EQ(last.relinked + last.edges_added + last.edges_removed + last.repair_candidates +
+                last.recomputes,
+            0u);
+  EXPECT_EQ(dyn.overlay_generation(), 1u);
+}
+
+/// Adoption must leave exactly the state one-by-one insertion leaves:
+/// levels, selections, overlay and its generation.
+::testing::AssertionResult same_state(const DynamicHng& a, const DynamicHng& b) {
+  if (a.size() != b.size() || a.top_level() != b.top_level()) {
+    return ::testing::AssertionFailure() << "size/top " << a.size() << '/' << a.top_level()
+                                         << " vs " << b.size() << '/' << b.top_level();
+  }
+  for (std::uint32_t i = 0; i < a.size(); ++i) {
+    const auto sa = a.selection(i);
+    const auto sb = b.selection(i);
+    if (a.level(i) != b.level(i) || !std::equal(sa.begin(), sa.end(), sb.begin(), sb.end())) {
+      return ::testing::AssertionFailure() << "slot " << i << " differs";
+    }
+  }
+  if (a.overlay().edge_list() != b.overlay().edge_list()) {
+    return ::testing::AssertionFailure() << "overlays differ";
+  }
+  if (a.overlay_generation() != b.overlay_generation()) {
+    return ::testing::AssertionFailure() << "generation " << a.overlay_generation() << " vs "
+                                         << b.overlay_generation();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The small-n witness that adoption equals insertion, including what
+// happens next: the same join/leave trace replayed on both must repair the
+// same selections and flip the same edges. repair_candidates may differ —
+// adoption starts each level's radius bound at its exact maximum, while
+// insertion's bound keeps every earlier, wider pick.
+TEST(DynamicHng, BulkAdoptionEqualsOneByOneInsertion) {
+  const HngParams params{.promote_p = 0.3, .k = 3};
+  std::vector<std::vector<Vec2>> sets;
+  for (const std::uint64_t seed : {0xA1u, 0xA2u, 0xA3u}) {
+    Rng rng = Rng::stream(seed, 0xAD0, 0);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, params.k,
+                                params.k + 1, std::size_t{300}}) {
+      std::vector<Vec2> pts(n);
+      for (Vec2& p : pts) p = {rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+      sets.push_back(std::move(pts));
+    }
+  }
+  {
+    Rng rng = Rng::stream(0xA4, 0xAD0, 0);
+    const Vec2 pool[] = {{1.0, 1.0}, {1.0, 2.0}, {2.0, 1.0}, {3.0, 3.0}};
+    std::vector<Vec2> dup(60);
+    for (Vec2& p : dup) p = pool[rng.uniform_index(4)];
+    sets.push_back(std::move(dup));
+  }
+  for (std::size_t c = 0; c < sets.size(); ++c) {
+    const std::uint64_t seed = 0xB0 + c;
+    DynamicHng adopted(sets[c], params, seed);
+    DynamicHng inserted(params, seed);
+    for (const Vec2 p : sets[c]) inserted.insert(p);
+    ASSERT_TRUE(same_state(adopted, inserted)) << "set " << c << " after adoption";
+    ASSERT_TRUE(matches_oracle(adopted)) << "set " << c;
+
+    Rng rng = Rng::stream(seed, 0xAD1, 0);
+    for (std::size_t e = 0; e < 40; ++e) {
+      if (adopted.size() == 0 || rng.bernoulli(0.5)) {
+        const Vec2 p{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+        adopted.insert(p);
+        inserted.insert(p);
+      } else {
+        const auto slot = static_cast<std::uint32_t>(rng.uniform_index(adopted.size()));
+        adopted.remove(slot);
+        inserted.remove(slot);
+      }
+      const DynamicHngStats& a = adopted.last_event();
+      const DynamicHngStats& b = inserted.last_event();
+      ASSERT_EQ(a.relinked, b.relinked) << "set " << c << ", event " << e;
+      ASSERT_EQ(a.edges_added, b.edges_added) << "set " << c << ", event " << e;
+      ASSERT_EQ(a.edges_removed, b.edges_removed) << "set " << c << ", event " << e;
+      ASSERT_TRUE(same_state(adopted, inserted)) << "set " << c << ", event " << e;
+    }
+  }
 }
 
 // Byte-identical coordinates are distinct nodes (distinct slots, distinct
@@ -366,6 +450,31 @@ TEST(DynamicComplexity, RepairCandidatesPerJoinStayLocal) {
   EXPECT_GT(small, 0.0);
   EXPECT_LT(large, 2.0 * small) << "candidates per join: " << small << " at n = 2000, " << large
                                 << " at n = 8000";
+}
+
+// Adoption is a build, not n join events, so it feeds no repair counter;
+// and a farthest-point oracle build sweeps each of its L pivots once (the
+// pick's sweeps are the labels), not 2L - 1 times.
+TEST(DynamicComplexity, BulkAdoptionRunsNoEvents) {
+  if constexpr (!SENS_OBS_ENABLED) GTEST_SKIP() << "work counters are compiled out";
+  constexpr std::uint64_t kSeed = 0xAD0B;
+  const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {14.0, 14.0}}, 4.0, kSeed);
+  auto& reg = obs::CounterRegistry::global();
+  reg.reset();
+  const DynamicHng dyn(ps.points, {.promote_p = 0.25, .k = 3}, kSeed);
+  EXPECT_EQ(reg.value(obs::Counter::kDynamicRepairCandidates), 0u);
+  EXPECT_EQ(reg.value(obs::Counter::kDynamicRecomputes), 0u);
+
+  const CsrGraph& g = dyn.overlay();
+  const std::vector<double> w = g.arc_weights(
+      [&](std::uint32_t u, std::uint32_t v) { return dist(ps.points[u], ps.points[v]); });
+  constexpr std::size_t kLandmarks = 16;
+  reg.reset();
+  const LandmarkOracle oracle = LandmarkOracle::build(
+      g, w,
+      {.num_landmarks = kLandmarks, .seed = kSeed, .selection = LandmarkSelection::kFarthestPoint});
+  EXPECT_EQ(oracle.num_landmarks(), kLandmarks);
+  EXPECT_EQ(reg.value(obs::Counter::kDijkstraRuns), kLandmarks);
 }
 
 // §2.7 extends the determinism contract to mutations: maintenance is

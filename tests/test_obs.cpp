@@ -353,7 +353,7 @@ TEST(ObsCounters, ServeVerdictsMatchServeStats) {
 
 TEST(ObsCounters, DynamicCountersMatchEventStats) {
   // The registry's dynamic counters are the per-event repair stats summed
-  // over every event, bulk adoption included.
+  // over every event, the one-by-one build of the deployment included.
   const Box window{{0.0, 0.0}, {8.0, 8.0}};
   const PointSet ps = poisson_point_set(window, 4.0, kSeed);
   auto& reg = obs::CounterRegistry::global();

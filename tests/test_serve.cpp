@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -163,6 +164,62 @@ TEST(ServeOracle, FarthestPointCoversEveryComponentFirst) {
   const bool second_in_island = lm[1] >= 50;
   EXPECT_NE(first_in_island, second_in_island)
       << "one pivot per component before any component gets two";
+}
+
+/// Every label of `a` and `b`, compared as bit patterns (so +inf and
+/// signed zeros count too).
+::testing::AssertionResult same_labels(const LandmarkOracle& a, const LandmarkOracle& b,
+                                       std::size_t n) {
+  if (!std::equal(a.landmarks().begin(), a.landmarks().end(), b.landmarks().begin(),
+                  b.landmarks().end())) {
+    return ::testing::AssertionFailure() << "landmark sets differ";
+  }
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::size_t l = 0; l < a.num_landmarks(); ++l) {
+      if (std::bit_cast<std::uint64_t>(a.label(v, l)) !=
+          std::bit_cast<std::uint64_t>(b.label(v, l))) {
+        return ::testing::AssertionFailure() << "label (" << v << ", " << l << ") differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The farthest-point pick's own sweeps are the labels: they must equal a
+// fresh labelling of the same pivots, bit for bit, on a connected graph
+// and on one with islands (unreached labels included), at 1 and 8 threads.
+TEST(ServeOracle, FarthestPointLabelsEqualBuildWith) {
+  const TestGraph islands = [] {
+    // A 5-vertex island, plus a 3-chain and an isolated vertex.
+    TestGraph tg = make_graph(120, 50, 37, /*island=*/5);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges = tg.graph.edge_list();
+    edges.emplace_back(125, 126);
+    edges.emplace_back(126, 127);
+    tg.graph = CsrGraph::from_edges(129, std::move(edges));
+    tg.weights = tg.graph.arc_weights(edge_weight);
+    return tg;
+  }();
+  const TestGraph connected = make_graph(300, 150, 31);
+  for (const TestGraph* tg : {&connected, &islands}) {
+    const std::size_t n = tg->graph.num_vertices();
+    const LandmarkOracleParams params{.num_landmarks = 8,
+                                      .seed = 37,
+                                      .selection = LandmarkSelection::kFarthestPoint};
+    set_thread_count(1);
+    const LandmarkOracle serial = LandmarkOracle::build(tg->graph, tg->weights, params);
+    const std::vector<std::uint32_t> pivots(serial.landmarks().begin(),
+                                            serial.landmarks().end());
+    ASSERT_EQ(pivots.size(), 8u);
+    const LandmarkOracle relabeled = LandmarkOracle::build_with(tg->graph, tg->weights, pivots);
+    EXPECT_TRUE(same_labels(serial, relabeled, n)) << n << " vertices, 1 thread";
+    set_thread_count(8);
+    const LandmarkOracle wide = LandmarkOracle::build(tg->graph, tg->weights, params);
+    const LandmarkOracle wide_relabeled =
+        LandmarkOracle::build_with(tg->graph, tg->weights, pivots);
+    set_thread_count(0);
+    EXPECT_TRUE(same_labels(wide, relabeled, n)) << n << " vertices, 8 threads";
+    EXPECT_TRUE(same_labels(wide_relabeled, relabeled, n)) << n << " vertices, 8 threads";
+  }
 }
 
 TEST(ServeOracle, FarthestPointCertificationIsSound) {
