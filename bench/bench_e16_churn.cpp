@@ -109,8 +109,11 @@ int main(int argc, char** argv) {
   const HngParams params{.promote_p = 0.25, .k = 3, .max_level = 48};
   const PointSet ps = poisson_point_set(window, lambda, env.seed);
 
+  // Both sides of the ratio end with a CSR overlay: adoption defers its
+  // build to the first read, so that read is timed with it.
   Timer timer;
   DynamicHng dyn(ps.points, params, env.seed);
+  (void)dyn.overlay();
   const double adopt_ms = timer.millis();
   timer.reset();
   const HngResult batch = build_hng(ps.points, params, env.seed);
@@ -188,8 +191,9 @@ int main(int argc, char** argv) {
   clock.print(std::cout);
   std::cout << "\nnote: the rebuild/event ratio is the speedup of incremental maintenance over\n"
                "rebuilding from scratch at every event; adoption/build_hng is the bulk\n"
-               "adoption's wall time over one batch build of the same points (adoption is\n"
-               "that build plus the derived reverse index, level grids and radius bounds).\n"
+               "adoption's wall time, through its first overlay read, over one batch build\n"
+               "of the same points (adoption is that build plus the derived reverse index,\n"
+               "level grids and radius bounds).\n"
                "BENCH_churn.json records measured runs.\n\n";
   env.footer();
   return 0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "sens/obs/obs.hpp"
+#include "sens/support/parallel.hpp"
 
 namespace sens {
 
@@ -63,14 +64,22 @@ DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, st
   live_n_ = n;
   for (const std::uint32_t l : level_) ++level_count_[l];
 
-  // Selections ascending; filling the reverse index in ascending u leaves
-  // every reverse list ascending too.
+  // Selections ascending, each row sorted on its own; the reverse lists are
+  // sized by an in-degree count (one allocation each) and filled in
+  // ascending u, which leaves every one of them ascending too.
   const FlatAdjacency& picks = built.selections;
+  std::vector<std::uint32_t> in_degree(n, 0);
+  for (const std::uint32_t x : picks.neighbors) ++in_degree[x];
   sel_.resize(n);
   selectors_.resize(n);
+  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      sel_[u].assign(picks[u].begin(), picks[u].end());
+      std::sort(sel_[u].begin(), sel_[u].end());
+      selectors_[u].reserve(in_degree[u]);
+    }
+  });
   for (std::uint32_t u = 0; u < n; ++u) {
-    sel_[u].assign(picks[u].begin(), picks[u].end());
-    std::sort(sel_[u].begin(), sel_[u].end());
     for (const std::uint32_t x : sel_[u]) selectors_[x].push_back(u);
   }
 
@@ -83,10 +92,11 @@ DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, st
   reach2_.assign(top_, 0.0);
   reach_age_.assign(top_, 0);
   for (std::uint32_t l = 1; l <= top_; ++l) {
-    exact_.emplace_back(pyramid_.points(), exact_members[l - 1], params_.k);
-    for (const std::uint32_t w : exact_members[l - 1]) {
-      reach2_[l - 1] = std::max(reach2_[l - 1], worst_pick2(w));
-    }
+    const std::vector<std::uint32_t>& members = exact_members[l - 1];
+    exact_.emplace_back(pyramid_.points(), members, params_.k);
+    reach2_[l - 1] = parallel_reduce(
+        members.size(), 0.0, [&](std::size_t i) { return worst_pick2(members[i]); },
+        [](double a, double b) { return std::max(a, b); });
   }
 }
 

@@ -195,9 +195,9 @@ TEST(DynamicHng, BulkAdoptionMatchesBatchBuild) {
   return ::testing::AssertionSuccess();
 }
 
-// The small-n witness that adoption equals insertion, including what
-// happens next: the same join/leave trace replayed on both must repair the
-// same selections and flip the same edges. repair_candidates may differ —
+// The witness that adoption equals insertion, including what happens
+// next: the same join/leave trace replayed on both must repair the same
+// selections and flip the same edges. repair_candidates may differ —
 // adoption starts each level's radius bound at its exact maximum, while
 // insertion's bound keeps every earlier, wider pick.
 TEST(DynamicHng, BulkAdoptionEqualsOneByOneInsertion) {
@@ -219,6 +219,8 @@ TEST(DynamicHng, BulkAdoptionEqualsOneByOneInsertion) {
     for (Vec2& p : dup) p = pool[rng.uniform_index(4)];
     sets.push_back(std::move(dup));
   }
+  // A long insertion run (~650 joins) against adoption and the oracle.
+  sets.push_back(poisson_point_set(Box{{0.0, 0.0}, {18.0, 18.0}}, 2.0, 0xD15).points);
   for (std::size_t c = 0; c < sets.size(); ++c) {
     const std::uint64_t seed = 0xB0 + c;
     DynamicHng adopted(sets[c], params, seed);
@@ -430,12 +432,22 @@ INSTANTIATE_TEST_SUITE_P(Shapes, AdversarialTraceTest, ::testing::ValuesIn(adver
 // joiner only to nodes within a level's selection reach, so the candidates
 // per join must not grow with the deployment. A scan of every live node
 // (the search this replaced) would grow them 4x from n = 2000 to 8000.
+// Built one insert at a time, each level's radius bound carries the wide
+// picks of its sparse early life and stays local only through the resets
+// at every doubling; adopted, the bound starts at its exact maximum and a
+// 5% wave only raises it. Both must stay local, and the maintained bound,
+// at most one doubling stale (about twice the area), must stay within 3x
+// of the tight one — without the resets it is 6-8x here.
 TEST(DynamicComplexity, RepairCandidatesPerJoinStayLocal) {
-  const auto candidates_per_join = [](double n) {
+  const auto candidates_per_join = [](double n, bool adopt) {
     constexpr std::uint64_t kSeed = 0xC0117;
+    const HngParams params{.promote_p = 0.25, .k = 3};
     const double side = std::sqrt(n / 4.0);
     const PointSet ps = poisson_point_set(Box{{0.0, 0.0}, {side, side}}, 4.0, kSeed);
-    DynamicHng dyn(ps.points, {.promote_p = 0.25, .k = 3}, kSeed);
+    DynamicHng dyn = adopt ? DynamicHng(ps.points, params, kSeed) : DynamicHng(params, kSeed);
+    if (!adopt) {
+      for (const Vec2 p : ps.points) dyn.insert(p);
+    }
     Rng rng = Rng::stream(kSeed, 0x301, 0);
     const std::size_t joins = ps.size() / 20;  // a 5% join wave
     std::size_t candidates = 0;
@@ -445,11 +457,19 @@ TEST(DynamicComplexity, RepairCandidatesPerJoinStayLocal) {
     }
     return static_cast<double>(candidates) / static_cast<double>(joins);
   };
-  const double small = candidates_per_join(2000);
-  const double large = candidates_per_join(8000);
-  EXPECT_GT(small, 0.0);
-  EXPECT_LT(large, 2.0 * small) << "candidates per join: " << small << " at n = 2000, " << large
+  const double inserted[] = {candidates_per_join(2000, false), candidates_per_join(8000, false)};
+  const double adopted[] = {candidates_per_join(2000, true), candidates_per_join(8000, true)};
+  for (const double* c : {inserted, adopted}) {
+    EXPECT_GT(c[0], 0.0);
+    EXPECT_LT(c[1], 2.0 * c[0]) << (c == inserted ? "inserted" : "adopted")
+                                << ", candidates per join: " << c[0] << " at n = 2000, " << c[1]
                                 << " at n = 8000";
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_LT(inserted[i], 3.0 * adopted[i])
+        << "candidates per join at n = " << (i == 0 ? 2000 : 8000) << ": " << inserted[i]
+        << " inserted, " << adopted[i] << " adopted";
+  }
 }
 
 // Adoption is a build, not n join events, so it feeds no repair counter;
