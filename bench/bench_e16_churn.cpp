@@ -14,7 +14,8 @@
 // Wall-clock — amortized cost per event vs a full rebuild per event — is
 // printed as a table but kept out of the --json document, which must stay
 // byte-identical across runs and --threads values (the bench-json CI job
-// cmp's it). Measured runs are recorded in bench/BENCH_churn.json.
+// cmp's it). Repeated, measured churn runs are perfbench's `churn`
+// workload (perfbench/).
 #include <string>
 #include <vector>
 
@@ -193,8 +194,8 @@ int main(int argc, char** argv) {
                "rebuilding from scratch at every event; adoption/build_hng is the bulk\n"
                "adoption's wall time, through its first overlay read, over one batch build\n"
                "of the same points (adoption is that build plus the derived reverse index,\n"
-               "level grids and radius bounds).\n"
-               "BENCH_churn.json records measured runs.\n\n";
+               "S_1 grid and radius bounds).\n"
+               "perfbench/ (workload churn) holds the measured runs.\n\n";
   env.footer();
   return 0;
 }

@@ -12,8 +12,8 @@
 //
 // The oracle mode reports how many answers were certified from the
 // landmark bracket alone versus recomputed exactly; the QPS gap between
-// the two modes is the point of the serve layer (bench/BENCH_serve.json
-// records a measured run).
+// the two modes is the point of the serve layer (perfbench's `serve`
+// workload measures oracle-first serving repeatedly).
 #include <algorithm>
 #include <cstring>
 #include <optional>

@@ -21,8 +21,8 @@
 // Wall clock, throughput and peak RSS are printed as tables but kept out of
 // the --json document, which must stay byte-identical across runs and
 // --threads values (the bench-json CI job cmp's it at 1/2/8 threads with
-// --nmax 100000). Measured runs, including the hilbert/deploy throughput
-// ratios at n = 10^6, are recorded in bench/BENCH_scale.json.
+// --nmax 100000). Repeated, measured runs of the same pipeline at 10^6
+// are perfbench's `build` workload (perfbench/).
 //
 // Extra flag: --nmax N caps the size sweep (default 10^6).
 #include <bit>
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
 
   // Wall clock, throughput and RSS are deliberately *not* emitted: the
   // --json document must be byte-identical across machines, runs and
-  // --threads values. BENCH_scale.json records measured runs.
+  // --threads values. perfbench/ holds the measured runs.
   std::cout << "**streaming generation and relabeling cost (excluded from --json)**\n\n";
   gen_clock.print(std::cout);
   std::cout << "\n**build time and batched query throughput (excluded from --json; "
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
   std::cout << "\nnote: knn Mq/s is full-store k=8 self-queries; bfs/dijkstra Mnode/s are "
                "settled row-nodes per second over "
             << "batched sources; the hilbert/deploy ratio at n = 10^6 is the layout "
-               "dividend recorded in BENCH_scale.json.\n\n";
+               "dividend.\n\n";
   env.footer();
   return 0;
 }

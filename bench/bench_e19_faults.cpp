@@ -20,8 +20,8 @@
 //      answer or on an epoch snapshot that diverges from the maintainer.
 //
 // Flags: --fmax F caps the crash sweep's failure fraction (default 0.5).
-// Wall-clock is printed as a table but kept out of --json; measured runs
-// are recorded in bench/BENCH_faults.json.
+// Wall-clock is printed as a table but kept out of --json; repeated,
+// measured crash-and-rejoin waves are perfbench's `churn` workload.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>

@@ -21,7 +21,6 @@
 #include "sens/spatial/grid_index.hpp"
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 #include "sens/spatial/reorder.hpp"
 #include "sens/support/parallel.hpp"
 #include "sens/tiles/classify.hpp"
@@ -368,8 +367,8 @@ void BM_BfsManySerialAlloc(benchmark::State& state) {
 BENCHMARK(BM_BfsManySerialAlloc)->Arg(64);
 
 // The full hierarchical-neighbor-graph construction (DESIGN.md §2.5):
-// p-thinning levels, pyramid build, per-level k-NN linking, CSR
-// symmetrization. Baseline recorded in bench/BENCH_hng.json.
+// p-thinning levels, one grid per population, per-level k-NN linking, CSR
+// symmetrization. Measured end-to-end timings live in perfbench/.
 void BM_HngBuild(benchmark::State& state) {
   const double side = static_cast<double>(state.range(0));
   const Box w{{0.0, 0.0}, {side, side}};
@@ -383,36 +382,37 @@ void BM_HngBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_HngBuild)->Arg(16)->Arg(48);
 
-// The multi-resolution pyramid kernel in isolation: build per-level
-// density-tuned grids over p-thinned nested subsets of one shared store,
-// then run the HNG linking workload (each member of level l queries k
-// into level l+1).
-void BM_HngKnnPyramid(benchmark::State& state) {
+// The per-population grids in isolation: build one density-tuned subset
+// view per p-thinned population S_2 ⊇ ... ⊇ S_top over one shared point
+// array, then run the HNG linking workload (each member of S_l queries k
+// into S_{l+1}).
+void BM_HngLevelGrids(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {32.0, 32.0}};
   const PointSet ps = poisson_point_set(w, 4.0, 7);
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   // Levels from the real construction (one source of truth, outside the
-  // timed loop); spec l indexes the population with level >= l + 2.
+  // timed loop); members[i] lists the population with level >= i + 2.
   const HngResult hng = build_hng(ps.points, {}, 7);
-  std::vector<GridKnnPyramid::LevelSpec> specs(hng.top_level >= 2 ? hng.top_level - 1 : 0);
+  std::vector<std::vector<std::uint32_t>> members(hng.top_level >= 2 ? hng.top_level - 1 : 0);
   for (std::uint32_t u = 0; u < hng.level.size(); ++u) {
-    for (std::uint32_t l = 2; l <= hng.level[u]; ++l) specs[l - 2].members.push_back(u);
+    for (std::uint32_t l = 2; l <= hng.level[u]; ++l) members[l - 2].push_back(u);
   }
-  for (auto& spec : specs) spec.expected_k = std::min(k, spec.members.size());
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> found;
   for (auto _ : state) {
-    const GridKnnPyramid pyramid(ps.points, specs);
+    std::vector<GridKnn> grids;
+    grids.reserve(members.size());
+    for (const auto& m : members) grids.emplace_back(ps.points, m, std::min(k, m.size()));
     std::size_t touched = 0;
-    // Members of the population *below* grid l query into grid l.
-    for (std::size_t l = 0; l < pyramid.num_levels(); ++l) {
-      if (l == 0) {
+    // Members of the population *below* grid i query into grid i.
+    for (std::size_t i = 0; i < grids.size(); ++i) {
+      if (i == 0) {
         for (std::uint32_t q = 0; q < ps.size(); ++q) {
-          touched += pyramid.level(0).nearest_into(ps.points[q], k, q, scratch, found);
+          touched += grids[0].nearest_into(ps.points[q], k, q, scratch, found);
         }
       } else {
-        for (const std::uint32_t q : specs[l - 1].members) {
-          touched += pyramid.level(l).nearest_into(ps.points[q], k, q, scratch, found);
+        for (const std::uint32_t q : members[i - 1]) {
+          touched += grids[i].nearest_into(ps.points[q], k, q, scratch, found);
         }
       }
     }
@@ -421,7 +421,7 @@ void BM_HngKnnPyramid(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ps.size()));
 }
-BENCHMARK(BM_HngKnnPyramid)->Arg(3)->Arg(16);
+BENCHMARK(BM_HngLevelGrids)->Arg(3)->Arg(16);
 
 void BM_MeshRoute(benchmark::State& state) {
   const SiteGrid grid = SiteGrid::random(128, 128, 0.75, 5);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "sens/obs/obs.hpp"
@@ -38,26 +39,25 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
     : params_(params),
       seed_(seed),
-      level_count_(static_cast<std::size_t>(params.max_level) + 1, 0),
-      pyramid_(std::span<const Vec2>{}, std::span<const GridKnnPyramid::LevelSpec>{}) {
+      level_count_(static_cast<std::size_t>(params.max_level) + 1, 0) {
   validate_hng_params(params_);
 }
 
 /// Bulk adoption is the batch construction plus the state events maintain:
-/// the selections and pyramid come from build_hng_selections (so the
-/// oracle holds by construction), the reverse index, per-exact-level grids
-/// and radius bounds are derived from them. The overlay is built by the
-/// first read, as after any event.
+/// the selections and the grids of S_2..S_top come from
+/// build_hng_selections run over points_ itself (so the oracle holds by
+/// construction and the grids are already views over the one store); the
+/// reverse index, S_1's grid and the radius bounds are derived from them.
+/// The overlay is built by the first read, as after any event.
 DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed)
     : DynamicHng(params, seed) {
   for (const Vec2 p : points) require_finite(p);
   const std::size_t n = points.size();
   if (n == 0) return;
-  HngSelections built = build_hng_selections(points, params_, seed_);
   points_.assign(points.begin(), points.end());
+  HngSelections built = build_hng_selections(points_, params_, seed_);
   level_ = std::move(built.level);
   top_ = built.top_level;
-  pyramid_ = std::move(built.pyramid);
   alive_.assign(n, 1);
   dirty_flag_.assign(n, 0);
   in_recompute_.assign(n, 0);
@@ -83,20 +83,23 @@ DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, st
     for (const std::uint32_t x : sel_[u]) selectors_[x].push_back(u);
   }
 
-  // One grid per exact level over its members (ascending), and the level's
-  // radius bound at its exact maximum.
-  std::vector<std::vector<std::uint32_t>> exact_members(top_);
-  for (std::uint32_t l = 1; l <= top_; ++l) exact_members[l - 1].reserve(level_count_[l]);
-  for (std::uint32_t u = 0; u < n; ++u) exact_members[level_[u] - 1].push_back(u);
-  exact_.reserve(top_);
+  // S_1 (everyone) is indexed here; S_2..S_top are the batch build's own.
+  std::vector<std::uint32_t> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), 0u);
+  grids_.reserve(top_);
+  grids_.emplace_back(points_, everyone, params_.k);
+  for (GridKnn& g : built.grids) grids_.push_back(std::move(g));
+
+  // Each level's radius bound at its exact maximum (what tighten_reach
+  // computes), one parallel pass per level.
   reach2_.assign(top_, 0.0);
   reach_age_.assign(top_, 0);
   for (std::uint32_t l = 1; l <= top_; ++l) {
-    const std::vector<std::uint32_t>& members = exact_members[l - 1];
-    exact_.emplace_back(pyramid_.points(), members, params_.k);
-    reach2_[l - 1] = parallel_reduce(
-        members.size(), 0.0, [&](std::size_t i) { return worst_pick2(members[i]); },
-        [](double a, double b) { return std::max(a, b); });
+    const auto pick2 = [&](std::size_t u) {
+      return level_[u] == l ? worst_pick2(static_cast<std::uint32_t>(u)) : 0.0;
+    };
+    reach2_[l - 1] =
+        parallel_reduce(n, 0.0, pick2, [](double a, double b) { return std::max(a, b); });
   }
 }
 
@@ -132,10 +135,18 @@ void DynamicHng::flush_recompute() {
   recompute_.clear();
 }
 
-/// Every live node of exact level l, into `out` (unordered).
+/// Every live node of exact level l, into `out` (unordered): S_l without
+/// the members above l.
 void DynamicHng::level_members(std::uint32_t l, std::vector<std::uint32_t>& out) {
   out.clear();
-  exact_level(l).within_into(Vec2{}, kInf, out);
+  grids_[l - 1].within_into(Vec2{}, kInf, out);
+  std::erase_if(out, [&](std::uint32_t w) { return level_[w] != l; });
+}
+
+/// Repoint every grid at points_ after it changed size (and possibly
+/// moved); member coordinates are unchanged, so no grid is rebuilt.
+void DynamicHng::rebind_grids() {
+  for (GridKnn& g : grids_) g.rebind(points_);
 }
 
 /// The batch linking rule for one node, against the *current* live
@@ -151,7 +162,7 @@ void DynamicHng::compute_selection(std::uint32_t u, std::vector<std::uint32_t>& 
     std::sort(out.begin(), out.end());
     return;
   }
-  hng_link_node(pyramid_.level(l - 1), points_[u], u, params_.k, scratch_, found_);
+  grids_[l].nearest_into(points_[u], params_.k, u, scratch_, found_);  // S_{l+1}
   out.assign(found_.begin(), found_.end());
   std::sort(out.begin(), out.end());
 }
@@ -231,22 +242,25 @@ void DynamicHng::tighten_reach(std::uint32_t l) {
 }
 
 /// Join repair set of u (level L >= 2): per exact level l in [1, L-1], the
-/// regular nodes maybe_enter() could admit u into. A full node admits u
-/// only if d(w, u) is within its worst pick's distance, hence within the
+/// regular nodes maybe_enter() could admit u into, found in S_l's grid
+/// (members above level l are skipped and not counted). A full node admits
+/// u only if d(w, u) is within its worst pick's distance, hence within the
 /// level's reach; while S_{l+1} holds fewer than k nodes besides u, every
-/// node of the level is under-full and admits u outright.
+/// node of the level is under-full and admits u outright. maybe_enter
+/// commutes across candidates, so their order does not matter.
 void DynamicHng::offer_join(std::uint32_t u) {
   const std::uint32_t level = level_[u];
   std::size_t others_above = 0;  // |S_{l+1} \ {u}|
   for (std::uint32_t j = level; j <= top_; ++j) others_above += level_count_[j];
   --others_above;
   for (std::uint32_t l = level - 1; l >= 1; --l) {
-    if (2 * reach_age_[l - 1] > exact_level(l).size()) tighten_reach(l);
+    if (2 * reach_age_[l - 1] > level_count_[l]) tighten_reach(l);
     const double r2 = others_above < params_.k ? kInf : reach2_[l - 1];
     candidates_.clear();
-    exact_level(l).within_into(points_[u], r2, candidates_);
+    grids_[l - 1].within_into(points_[u], r2, candidates_);
     for (const std::uint32_t w : candidates_) {
-      if (in_recompute_[w]) continue;  // dissolving clique: relinks by re-query
+      // Members above l link elsewhere; a dissolving clique relinks by re-query.
+      if (level_[w] != l || in_recompute_[w]) continue;
       ++last_.repair_candidates;
       maybe_enter(w, u);
     }
@@ -267,15 +281,9 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
     in_recompute_.push_back(0);
     sel_.emplace_back();
     selectors_.emplace_back();
+    rebind_grids();
   } else {
-    points_[id] = p;
-  }
-  if (id == pyramid_.store_size()) {
-    pyramid_.append_point(p);
-    // The store may have moved; member coordinates did not (GridKnn::rebind).
-    for (GridKnn& g : exact_) g.rebind(pyramid_.points());
-  } else {
-    pyramid_.set_point(id, p);  // vacated slot: no level indexes it now
+    points_[id] = p;  // vacated slot: no grid indexes it now
   }
   alive_[id] = 1;
   ++live_n_;
@@ -285,16 +293,12 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
 
   const std::uint32_t old_top = top_;
   const std::uint32_t new_top = std::max(old_top, level);
-  // Pyramid level index l holds S_{l+2}: queries need indexes up to
-  // new_top - 2 (the top cohort's own linking target S_top).
-  while (pyramid_.num_levels() + 1 < new_top) pyramid_.push_level(params_.k);
-  for (std::uint32_t l = 2; l <= level; ++l) pyramid_.insert(l - 2, id);
-  while (exact_.size() < level) {
-    exact_.emplace_back(pyramid_.points(), std::span<const std::uint32_t>{}, params_.k);
+  while (grids_.size() < new_top) {
+    grids_.emplace_back(points_, std::span<const std::uint32_t>{}, params_.k);
     reach2_.push_back(0.0);
     reach_age_.push_back(0);
   }
-  exact_level(level).insert_member(id);
+  for (std::uint32_t l = 1; l <= level; ++l) grids_[l - 1].insert_member(id);
   ++reach_age_[level - 1];
 
   if (live_n_ == 1) {
@@ -341,8 +345,7 @@ void DynamicHng::remove_slot(std::uint32_t r) {
   alive_[r] = 0;
   --live_n_;
   --level_count_[level_[r]];
-  for (std::uint32_t l = 2; l <= level_[r]; ++l) pyramid_.erase(l - 2, r);
-  exact_level(level_[r]).erase_member(r);
+  for (std::uint32_t l = 1; l <= level_[r]; ++l) grids_[l - 1].erase_member(r);
   ++reach_age_[level_[r] - 1];
 
   const std::uint32_t old_top = top_;
@@ -454,6 +457,7 @@ void DynamicHng::remove(std::uint32_t i) {
   in_recompute_.pop_back();
   sel_.pop_back();
   selectors_.pop_back();
+  rebind_grids();
 }
 
 }  // namespace sens

@@ -22,21 +22,25 @@
 // enforced at every prefix of randomized traces by tests/test_dynamic.cpp
 // (`churn` ctest label).
 //
+// Spatial state is one coordinate array and one GridKnn per population
+// S_l = {live nodes of level >= l}, l = 1..top, each a subset view over
+// that array (the same grids build_hng links with).
+//
 // Repair sets are bounded, local and exact (DESIGN.md §2.7):
-//  * join u at level L: u's own selection is one pyramid query per the
-//    batch rule; an existing regular node w of exact level l <= L-1 sees u
-//    enter S_{l+1}, and its new k-NN selection follows from its old one
-//    without a re-query — admit u iff w is under-full or u beats w's
-//    current (distance, index)-worst pick. Only nodes that can pass that
-//    test are offered: a fixed-radius search of each exact level's grid,
-//    the radius an upper bound on that level's worst selection distance
-//    (all of the level while S_{l+1} holds fewer than k others). A
-//    top-level rise dissolves the old clique cohort, which relinks by
-//    re-query.
+//  * join u at level L: u's own selection is one k-NN query of S_{L+1}'s
+//    grid per the batch rule; an existing regular node w of exact level
+//    l <= L-1 sees u enter S_{l+1}, and its new k-NN selection follows
+//    from its old one without a re-query — admit u iff w is under-full or
+//    u beats w's current (distance, index)-worst pick. Only nodes that can
+//    pass that test are offered: a fixed-radius search of S_l's grid that
+//    skips members above level l, the radius an upper bound on level l's
+//    worst selection distance (all of the level while S_{l+1} holds fewer
+//    than k others). A top-level rise dissolves the old clique cohort,
+//    which relinks by re-query.
 //  * leave r: exactly the nodes that selected r (a maintained reverse
 //    index) re-query; a top-level drop forms the new top cohort's clique.
 // No event scans the live set: cohorts and candidates come from the
-// per-exact-level grids, so an event costs in proportion to its repair set.
+// population grids, so an event costs in proportion to its repair set.
 // The overlay CSR is rebuilt, not patched: the first overlay() read after
 // an event that flipped an edge runs CsrGraph::from_selections over the
 // maintained selections — the builder build_hng itself uses, so the oracle
@@ -65,7 +69,6 @@
 #include "sens/graph/csr.hpp"
 #include "sens/hng/hng.hpp"
 #include "sens/spatial/grid_knn.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 
 namespace sens {
 
@@ -86,9 +89,10 @@ class DynamicHng {
 
   /// Bulk adoption: equivalent to inserting `points` one by one in order
   /// (same levels, selections and overlay), but built as one batch
-  /// construction (build_hng_selections) plus the derived reverse index,
-  /// per-level grids and radius bounds. It is not an event: last_event()
-  /// stays all-zero, and the first overlay() read builds generation 1.
+  /// construction (build_hng_selections, whose grids of S_2..S_top are
+  /// kept) plus the derived reverse index, S_1's grid and radius bounds.
+  /// It is not an event: last_event() stays all-zero, and the first
+  /// overlay() read builds generation 1.
   /// Throws std::invalid_argument, before adopting anything, if a
   /// coordinate is not finite.
   DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed);
@@ -155,8 +159,8 @@ class DynamicHng {
   void raise_reach(std::uint32_t w);
   void tighten_reach(std::uint32_t l);
   void offer_join(std::uint32_t u);
-  GridKnn& exact_level(std::uint32_t l) { return exact_[l - 1]; }
   void level_members(std::uint32_t l, std::vector<std::uint32_t>& out);
+  void rebind_grids();
   void insert_slot(std::uint32_t id, Vec2 p);
   void remove_slot(std::uint32_t r);
   void begin_event();
@@ -169,7 +173,9 @@ class DynamicHng {
 
   // Slot-indexed node state. The arrays stay at event-entry size while an
   // event is in flight (a swap-remove briefly has two dead slots) and are
-  // trimmed in remove(); alive_ is the in-event liveness mask.
+  // trimmed in remove(); alive_ is the in-event liveness mask. points_ is
+  // the only coordinate store: every grid in grids_ is a view over it and
+  // is rebound whenever it changes size.
   std::vector<Vec2> points_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint8_t> alive_;
@@ -179,14 +185,14 @@ class DynamicHng {
 
   std::vector<std::uint32_t> level_count_;  ///< exact-level histogram [0, max_level]
   std::uint32_t top_ = 0;
-  GridKnnPyramid pyramid_;  ///< level index l holds S_{l+2}
-  // exact_[l-1] indexes the live nodes of exact level l (subset views over
-  // the pyramid's store); reach2_[l-1] is an upper bound on the squared
-  // worst-pick distance of every full regular selection at that level.
-  // Raised as selections change, reset to the members' exact maximum once
-  // reach_age_ (membership changes since the last reset) exceeds half the
-  // level's size: a loose bound costs candidates, never correctness.
-  std::vector<GridKnn> exact_;
+  // grids_[l-1] indexes S_l, the live nodes of level >= l (exact-level
+  // queries skip the members above l); reach2_[l-1] is an upper bound on
+  // the squared worst-pick distance of every full regular selection at
+  // exact level l. Raised as selections change, reset to the members'
+  // exact maximum once reach_age_ (membership changes since the last
+  // reset) exceeds half the level's size: a loose bound costs candidates,
+  // never correctness.
+  std::vector<GridKnn> grids_;
   std::vector<double> reach2_;
   std::vector<std::size_t> reach_age_;
   DynamicHngStats last_;

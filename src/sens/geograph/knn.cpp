@@ -22,27 +22,17 @@ FlatAdjacency knn_selections_flat(std::span<const Vec2> points, std::size_t k) {
   adj.neighbors.resize(n * deg);
   if (deg == 0) return adj;
 
-  // One scratch per chunk keeps the hot path allocation-free.
+  // One scratch per chunk keeps the per-query path allocation-free.
   const GridKnn index(points, k);
-  auto fill = [&](std::size_t begin, std::size_t end, GridKnn::QueryScratch& scratch,
-                  std::vector<std::uint32_t>& found) {
+  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    GridKnn::QueryScratch scratch;
+    std::vector<std::uint32_t> found;
     for (std::size_t i = begin; i < end; ++i) {
       index.nearest_into(points[i], k, static_cast<std::uint32_t>(i), scratch, found);
       std::copy(found.begin(), found.end(),
                 adj.neighbors.begin() + static_cast<std::ptrdiff_t>(i * deg));
     }
-  };
-  if (thread_count() == 1) {
-    GridKnn::QueryScratch scratch;
-    std::vector<std::uint32_t> found;
-    fill(0, n, scratch, found);
-  } else {
-    parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-      GridKnn::QueryScratch scratch;
-      std::vector<std::uint32_t> found;
-      fill(begin, end, scratch, found);
-    });
-  }
+  });
   return adj;
 }
 

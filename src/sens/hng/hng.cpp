@@ -7,7 +7,6 @@
 
 #include "sens/graph/csr.hpp"
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 #include "sens/support/checked.hpp"
 #include "sens/support/parallel.hpp"
 
@@ -37,19 +36,11 @@ std::uint32_t hng_promotion_level(std::uint64_t seed, std::uint64_t node,
   return level;
 }
 
-std::size_t hng_link_node(const GridKnn& upper, Vec2 p, std::uint32_t self, std::size_t k,
-                          GridKnn::QueryScratch& scratch, std::vector<std::uint32_t>& out) {
-  return upper.nearest_into(p, k, self, scratch, out);
-}
-
 HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams& params,
                                    std::uint64_t seed) {
   validate_hng_params(params);
   const std::size_t n = points.size();
-  if (n == 0) {
-    return {.level = {}, .cumulative_size = {}, .pyramid = GridKnnPyramid(points, {}),
-            .selections = {}};
-  }
+  if (n == 0) return {};
 
   // Promotion by p-thinning: node u climbs while its own stream keeps
   // drawing heads. Each node reads only its (seed, stream, u) draws, so the
@@ -62,10 +53,9 @@ HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams
   const std::uint32_t top_level = *std::max_element(level.begin(), level.end());
 
   // Population lists S_2 ⊇ ... ⊇ S_top (S_1 is the whole input and is
-  // never queried), built straight into the pyramid specs — one ascending
-  // pass over the level vector, no intermediate copies. One density-tuned
-  // grid per linking target, all subset views over one shared store.
-  std::vector<GridKnnPyramid::LevelSpec> specs(top_level >= 2 ? top_level - 1 : 0);
+  // never queried): members[l - 2] lists S_l ascending, filled in one pass
+  // over the level vector.
+  std::vector<std::vector<std::uint32_t>> members(top_level >= 2 ? top_level - 1 : 0);
   {
     // Count-then-fill: a node of level l appears in S_2..S_l, so one
     // histogram over the level vector plus a suffix sum yields every
@@ -76,30 +66,35 @@ HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams
     std::size_t above = 0;
     for (std::uint32_t l = top_level; l >= 2; --l) {
       above += at_level[l];
-      specs[l - 2].members.reserve(above);
+      members[l - 2].reserve(above);
     }
     for (std::uint32_t u = 0; u < n; ++u) {
-      for (std::uint32_t l = 2; l <= level[u]; ++l) specs[l - 2].members.push_back(u);
+      for (std::uint32_t l = 2; l <= level[u]; ++l) members[l - 2].push_back(u);
     }
   }
-  for (auto& spec : specs) spec.expected_k = std::min(params.k, spec.members.size());
   std::vector<std::uint32_t> cumulative_size(top_level);
   cumulative_size[0] = static_cast<std::uint32_t>(n);
   for (std::uint32_t l = 2; l <= top_level; ++l) {
-    cumulative_size[l - 1] = static_cast<std::uint32_t>(specs[l - 2].members.size());
+    cumulative_size[l - 1] = static_cast<std::uint32_t>(members[l - 2].size());
   }
   HngSelections s{.level = std::move(level),
                   .top_level = top_level,
                   .cumulative_size = std::move(cumulative_size),
-                  .pyramid = GridKnnPyramid(points, specs),
+                  .grids = {},
                   .selections = {}};
+  // One density-tuned grid per linking target, each a subset view over the
+  // caller's points.
+  s.grids.reserve(members.size());
+  for (const std::vector<std::uint32_t>& m : members) {
+    s.grids.emplace_back(points, m, std::min(params.k, m.size()));
+  }
 
   // Directed selections: a node of exact level l < top links to its
   // min(k, |S_{l+1}|) nearest neighbors in S_{l+1}; the top-level nodes are
   // mutually interconnected (the paper's top clique — expected O(1) nodes).
   // Degrees are a pure function of the level vector, so the offsets are
   // fixed up front and every node fills its own disjoint slice.
-  // S_top lives in the last spec when the hierarchy has >= 2 levels;
+  // S_top is the last member list when the hierarchy has >= 2 levels;
   // otherwise (nobody promoted — astronomically rare beyond tiny n) it is
   // every node.
   std::vector<std::uint32_t> everyone;
@@ -107,7 +102,7 @@ HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams
     everyone.resize(n);
     std::iota(everyone.begin(), everyone.end(), 0u);
   }
-  const std::vector<std::uint32_t>& top = top_level >= 2 ? specs[top_level - 2].members : everyone;
+  const std::vector<std::uint32_t>& top = top_level >= 2 ? members[top_level - 2] : everyone;
   FlatAdjacency& sel = s.selections;
   sel.offsets.assign(n + 1, 0);
   std::uint64_t total = 0;
@@ -121,8 +116,9 @@ HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams
   }
   sel.neighbors.resize(sel.offsets[n]);
 
-  auto link = [&](std::size_t begin, std::size_t end, GridKnn::QueryScratch& scratch,
-                  std::vector<std::uint32_t>& found) {
+  parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
+    GridKnn::QueryScratch scratch;
+    std::vector<std::uint32_t> found;
     for (std::size_t u = begin; u < end; ++u) {
       std::uint32_t* slot = sel.neighbors.data() + sel.offsets[u];
       const std::uint32_t l = s.level[u];
@@ -132,22 +128,12 @@ HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams
         }
         continue;
       }
-      hng_link_node(s.pyramid.level(l - 1), points[u], static_cast<std::uint32_t>(u), params.k,
-                    scratch, found);
+      // S_{l+1} is grids[l - 1].
+      s.grids[l - 1].nearest_into(points[u], params.k, static_cast<std::uint32_t>(u), scratch,
+                                  found);
       std::copy(found.begin(), found.end(), slot);
     }
-  };
-  if (thread_count() == 1) {
-    GridKnn::QueryScratch scratch;
-    std::vector<std::uint32_t> found;
-    link(0, n, scratch, found);
-  } else {
-    parallel_for_chunks(n, [&](std::size_t begin, std::size_t end) {
-      GridKnn::QueryScratch scratch;
-      std::vector<std::uint32_t> found;
-      link(begin, end, scratch, found);
-    });
-  }
+  });
   return s;
 }
 

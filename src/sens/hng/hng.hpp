@@ -14,8 +14,9 @@
 //
 // Determinism: promotion draws come from the per-node seeded stream
 // (seed, kHngLevelStream, node) of the rng layer, and the per-level k-NN
-// linking runs on the exact GridKnnPyramid, each node writing its own
-// disjoint selection slice — so the overlay is bit-identical at any
+// linking runs on one exact GridKnn per population (a subset view over the
+// caller's points, tuned for that population's density), each node writing
+// its own disjoint selection slice — so the overlay is bit-identical at any
 // `--threads` value (construction contract: DESIGN.md §2.5).
 #pragma once
 
@@ -27,7 +28,6 @@
 #include "sens/geometry/vec2.hpp"
 #include "sens/graph/flat_adjacency.hpp"
 #include "sens/spatial/grid_knn.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 
 namespace sens {
 
@@ -62,11 +62,13 @@ struct HngResult {
 
 // --- shared with the incremental maintainer (sens/dynamic) ---
 // `build_hng` is exactly: draw every node's level with
-// `hng_promotion_level`, then link every node with `hng_link_node` /
-// the top clique rule — so an incremental structure using the same
-// kernels agrees with the batch build bit for bit (DESIGN.md §2.7). Bulk
-// adoption skips the per-node path altogether: it takes the batch
-// construction's own directed selections (`build_hng_selections`).
+// `hng_promotion_level`, then link every node of exact level l < top by
+// `GridKnn::nearest_into` on the grid of S_{l+1} (k nearest, itself
+// excluded) and the top nodes by the clique rule — so an incremental
+// structure using the same kernels agrees with the batch build bit for bit
+// (DESIGN.md §2.7). Bulk adoption skips the per-node path altogether: it
+// takes the batch construction's own grids and directed selections
+// (`build_hng_selections`).
 
 /// The batch construction before symmetrization: what `build_hng` turns
 /// into an overlay and what DynamicHng's bulk adoption keeps.
@@ -74,17 +76,19 @@ struct HngSelections {
   std::vector<std::uint32_t> level;            ///< as HngResult::level
   std::uint32_t top_level = 0;                 ///< as HngResult::top_level
   std::vector<std::uint32_t> cumulative_size;  ///< as HngResult::cumulative_size
-  /// Level index l indexes S_{l+2} (top_level - 1 levels; none when
-  /// top_level < 2), each tuned for min(k, |S_{l+2}|)-sized queries.
-  GridKnnPyramid pyramid;
+  /// grids[l - 2] indexes S_l for l in [2, top_level] (none when
+  /// top_level < 2), tuned for min(k, |S_l|)-sized queries. Each is a
+  /// subset view over the `points` passed to build_hng_selections, which
+  /// must outlive them.
+  std::vector<GridKnn> grids;
   /// Row u: u's directed picks — its k nearest in S_{level+1} in
   /// (distance, index) order, or the rest of the top clique ascending.
   FlatAdjacency selections;
 };
 
-/// Levels, pyramid and directed selections of H(p, k) over `points`; same
-/// validation as build_hng. `build_hng` is this plus
-/// CsrGraph::from_selections.
+/// Levels, population grids and directed selections of H(p, k) over
+/// `points` (no coordinate is copied); same validation as build_hng.
+/// `build_hng` is this plus CsrGraph::from_selections.
 [[nodiscard]] HngSelections build_hng_selections(std::span<const Vec2> points,
                                                  const HngParams& params, std::uint64_t seed);
 
@@ -98,12 +102,5 @@ void validate_hng_params(const HngParams& params);
 /// joined, which is what makes incremental maintenance exact.
 [[nodiscard]] std::uint32_t hng_promotion_level(std::uint64_t seed, std::uint64_t node,
                                                 const HngParams& params);
-
-/// The linking kernel for a single node of exact level l < top: its
-/// min(k, |S_{l+1}|) nearest members of `upper` — which must index
-/// S_{l+1} — excluding `self`, in (distance, index) order. Returns the
-/// count written into `out`.
-std::size_t hng_link_node(const GridKnn& upper, Vec2 p, std::uint32_t self, std::size_t k,
-                          GridKnn::QueryScratch& scratch, std::vector<std::uint32_t>& out);
 
 }  // namespace sens

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sens/geometry/box.hpp"
@@ -34,7 +35,9 @@ class GridIndex {
   /// Exhaustive for every radius: the scan covers ceil(radius / cell_size)
   /// rings of cells around q's cell (3x3 when radius <= cell_size, growing
   /// quadratically for larger radii). Visit order is deterministic:
-  /// row-major over cells, then bucket order within a cell.
+  /// row-major over cells, then bucket order within a cell. A negative
+  /// radius visits nothing; throws std::invalid_argument if `q` is not
+  /// finite or `radius` is NaN.
   template <typename Visitor>
   void for_each_in_radius(Vec2 q, double radius, Visitor&& visit) const {
     for_each_in_radius_until(q, radius, [&](std::uint32_t j) {
@@ -48,6 +51,10 @@ class GridIndex {
   /// satisfied the visitor), false when the scan ran to completion.
   template <typename Visitor>
   bool for_each_in_radius_until(Vec2 q, double radius, Visitor&& visit) const {
+    if (!is_finite(q) || std::isnan(radius)) [[unlikely]] {
+      throw std::invalid_argument("GridIndex: query point must be finite and radius not NaN");
+    }
+    if (radius < 0.0) return false;
     const double r2 = radius * radius;
     // Rings past the far edge add nothing, so reach is capped in floating
     // point before the conversion (a huge or infinite radius stays defined).

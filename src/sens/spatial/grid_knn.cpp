@@ -29,6 +29,10 @@ struct ObsTally {
 };
 #endif
 
+void require_finite_query(Vec2 q) {
+  if (!is_finite(q)) throw std::invalid_argument("GridKnn: query point must be finite");
+}
+
 /// Final prune + sort shared by collect_large's exits: keep the k best
 /// under the strict (d2, idx) order, sorted.
 void finish_large(std::size_t k, std::vector<GridKnn::QueryScratch::Candidate>& cands) {
@@ -72,6 +76,9 @@ void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected
   live_ = members.size();
   dead_ = 0;
   if (members.empty()) return;
+  for (const std::uint32_t m : members) {
+    if (m >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
+  }
   Vec2 hi = points_[members[0]];
   lo_ = points_[members[0]];
   for (const std::uint32_t m : members) {
@@ -131,6 +138,9 @@ std::size_t GridKnn::cell_index(Vec2 p) const {
 }
 
 void GridKnn::within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) const {
+  require_finite_query(q);
+  if (std::isnan(r2)) throw std::invalid_argument("GridKnn: query radius must not be NaN");
+  if (r2 < 0.0) return;
   auto consider = [&](std::uint32_t idx) {
     const double dx = points_[idx].x - q.x;
     const double dy = points_[idx].y - q.y;
@@ -171,6 +181,7 @@ void GridKnn::insert_member(std::uint32_t id) {
 }
 
 void GridKnn::erase_member(std::uint32_t id) {
+  if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
   const auto it = std::find(spill_.begin(), spill_.end(), id);
   if (it != spill_.end()) {
     spill_.erase(it);
@@ -260,10 +271,8 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
   for (const std::uint32_t idx : spill_) offer(idx);
   if (offsets_.empty()) return cnt;
 
-  const long cx =
-      std::clamp(static_cast<long>(std::floor((q.x - lo_.x) / cell_)), 0L, nx_ - 1);
-  const long cy =
-      std::clamp(static_cast<long>(std::floor((q.y - lo_.y) / cell_)), 0L, ny_ - 1);
+  const long cx = clamped_cell(q.x, lo_.x, nx_);
+  const long cy = clamped_cell(q.y, lo_.y, ny_);
   const long max_ring = std::max(std::max(cx, nx_ - 1 - cx), std::max(cy, ny_ - 1 - cy));
 
   /// One row of cells [xa, xb] at row y: a single contiguous bucket span.
@@ -356,10 +365,8 @@ void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
     return;
   }
 
-  const long cx =
-      std::clamp(static_cast<long>(std::floor((q.x - lo_.x) / cell_)), 0L, nx_ - 1);
-  const long cy =
-      std::clamp(static_cast<long>(std::floor((q.y - lo_.y) / cell_)), 0L, ny_ - 1);
+  const long cx = clamped_cell(q.x, lo_.x, nx_);
+  const long cy = clamped_cell(q.y, lo_.y, ny_);
   const long max_ring = std::max(std::max(cx, nx_ - 1 - cx), std::max(cy, ny_ - 1 - cy));
 
   auto scan_cell = [&](long x, long y) {
@@ -418,6 +425,7 @@ void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
 
 std::size_t GridKnn::nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude,
                                   QueryScratch& scratch, std::vector<std::uint32_t>& out) const {
+  require_finite_query(q);
   out.clear();
   if (live_ == 0 || k == 0) return 0;
   if (k <= kStreamingMaxK) {

@@ -15,8 +15,9 @@
 // Cell size is tuned at construction for an expected query size k; queries
 // with other k values stay exact, only ring granularity is off-tune. A
 // second constructor indexes a *subset* of a shared point store without
-// copying coordinates — the per-level building block of `GridKnnPyramid`
-// (spatial/grid_knn_pyramid.hpp).
+// copying coordinates: the hierarchical neighbor graph indexes each of its
+// nested populations S_l with one such view over one coordinate array, each
+// tuned for its own density (sens/hng, sens/dynamic).
 //
 // Membership is mutable after construction (`insert_member` /
 // `erase_member`, the churn substrate of sens/dynamic): admissions land on
@@ -26,9 +27,11 @@
 // Once tombstones + spill outgrow a fraction of the live set the grid is
 // rebuilt from the live members (ascending id). Query results are a pure
 // function of the live member set, identical to a freshly built GridKnn
-// over it (asserted by `GridKnnMutation.*` / `GridKnnPyramidMutation.*`).
+// over it (asserted by `GridKnnMutation.*` / `GridKnnSubsetMutation.*`).
 // Besides k-NN, a fixed-radius query (`within_into`) lists the members in
-// a disk — the repair-set search of sens/dynamic.
+// a disk — the repair-set search of sens/dynamic. Queries reject a
+// non-finite query point (and a NaN radius) before any cell arithmetic, so
+// every float-to-cell conversion sees finite input.
 #pragma once
 
 #include <cstddef>
@@ -52,11 +55,12 @@ class GridKnn {
   /// Queries return those global ids, with the same (distance, index)
   /// tie-break as the owning constructor — equivalent to a fresh GridKnn
   /// over the compacted subset with ids mapped back (asserted by
-  /// `GridKnnPyramid.LevelsMatchFreshGridKnnOracle`). The caller must keep
-  /// `shared_points` alive and unmoved for the lifetime of this index; the
-  /// grid geometry is tuned to the *subset's* bounding box and density.
-  /// Throws std::invalid_argument if a member's coordinate is not finite
-  /// (non-member points are never read).
+  /// `GridKnnSubsetParamTest.MatchesFreshGridKnnOracle`). The caller must keep
+  /// `shared_points` alive and unmoved for the lifetime of this index (or
+  /// `rebind` it); the grid geometry is tuned to the *subset's* bounding
+  /// box and density. Throws std::out_of_range if a member id is not below
+  /// shared_points.size() and std::invalid_argument if a member's
+  /// coordinate is not finite (non-member points are never read).
   GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
           std::size_t expected_k);
 
@@ -84,6 +88,8 @@ class GridKnn {
   /// Indices of the k points nearest to `q`, excluding index `exclude`
   /// (npos = exclude nothing), sorted by (distance, index), written into
   /// `out` (cleared first; capacity reused). Returns the count written.
+  /// Throws std::invalid_argument if `q` is not finite; any finite `q`,
+  /// however far off the grid, is exact.
   std::size_t nearest_into(Vec2 q, std::size_t k, std::uint32_t exclude, QueryScratch& scratch,
                            std::vector<std::uint32_t>& out) const;
 
@@ -92,8 +98,9 @@ class GridKnn {
   /// dx = p.x - q.x, the arithmetic of the k-NN kernels, so a caller
   /// comparing against distances it computed the same way misses no tie.
   /// Only the cells that can hold such a point are read (plus the spill);
-  /// r2 = +inf lists every live member. Not counted by the k-NN work
-  /// counters.
+  /// r2 = +inf lists every live member, a negative r2 none. Throws
+  /// std::invalid_argument if `q` is not finite or r2 is NaN. Not counted
+  /// by the k-NN work counters.
   void within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) const;
 
   /// Number of *live* indexed points (the member count for a subset view;
@@ -109,8 +116,8 @@ class GridKnn {
   /// coordinates are not finite; admitting an id twice is undefined.
   void insert_member(std::uint32_t id);
 
-  /// Retire member `id`. Throws std::invalid_argument if `id` is not
-  /// currently a member.
+  /// Retire member `id`. Throws std::out_of_range on an id outside the
+  /// store and std::invalid_argument if `id` is not currently a member.
   void erase_member(std::uint32_t id);
 
   /// Rebuild the bucket grid from the live member set now (ascending id) —
@@ -129,9 +136,10 @@ class GridKnn {
 
   /// Repoint the shared-store span (subset views only). The new span must
   /// present every member id at unchanged coordinates — e.g. the owning
-  /// store grew (possibly reallocating, contents preserved). Grid geometry
-  /// and buckets depend only on member coordinates, so no rebuild is
-  /// needed. Used by `GridKnnPyramid` when its store grows.
+  /// store grew (possibly reallocating, contents preserved) or shed slots
+  /// that are no member's. Grid geometry and buckets depend only on member
+  /// coordinates, so no rebuild is needed. DynamicHng rebinds its grids
+  /// whenever its point array changes size.
   void rebind(std::span<const Vec2> shared_points) { points_ = shared_points; }
 
  private:

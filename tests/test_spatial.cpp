@@ -12,7 +12,6 @@
 #include "sens/rng/rng.hpp"
 #include "sens/spatial/grid_index.hpp"
 #include "sens/spatial/grid_knn.hpp"
-#include "sens/spatial/grid_knn_pyramid.hpp"
 
 #include "brute_knn.hpp"
 
@@ -141,6 +140,21 @@ TEST(GridIndex, RejectsNonFinitePointsAndBounds) {
   EXPECT_EQ(sorted_radius(index, {1e300, -1e300}, 1.0), std::vector<std::uint32_t>{0});
 }
 
+TEST(GridIndex, NonFiniteQueriesThrowNegativeRadiusVisitsNothing) {
+  const auto pts = random_points(100, 0xBAE);
+  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
+  std::vector<std::uint32_t> out;
+  for (const Vec2 bad : {Vec2{kNan, 1.0}, Vec2{1.0, kNan}, Vec2{kInfinity, 1.0},
+                         Vec2{1.0, -kInfinity}}) {
+    EXPECT_THROW(index.query_radius_into(bad, 1.0, out), std::invalid_argument);
+    EXPECT_THROW(index.for_each_in_radius_until(bad, 1.0, [](std::uint32_t) { return true; }),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(index.query_radius_into({5.0, 5.0}, kNan, out), std::invalid_argument);
+  EXPECT_EQ(index.query_radius_into(pts[0], -1.0, out), 0u);
+  EXPECT_EQ(index.query_radius_into(pts[0], -kInfinity, out), 0u);
+}
+
 TEST(GridIndex, EmptyInput) {
   std::vector<Vec2> pts;
   const GridIndex index(pts, Box{{0.0, 0.0}, {1.0, 1.0}}, 1.0);
@@ -244,42 +258,81 @@ TEST(GridKnn, SubsetViewRejectsNonFiniteMembersOnly) {
   EXPECT_EQ(view.size(), 2u);
 }
 
-// --- GridKnnPyramid: per-level subset views over one shared store --------
-
-class GridKnnPyramidParamTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-// Every pyramid level must agree bit-for-bit with a *fresh* single-level
-// GridKnn built over the compacted subset coordinates (local ids mapped
-// back through the member list) — same neighbors, same order, same
-// (distance, index) tie-breaks. Member lists are ascending, so local-id
-// tie-break order equals global-id tie-break order. Mirrors
-// GridKnnParamTest.MatchesBruteForceOracle for the multi-resolution engine.
-TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
-  const auto pts = random_points(420, GetParam() * 23 + 1);
-  // Nested thinned subsets (keep every 2nd/4th/8th point), one grid each,
-  // tuned for very different k — the HNG workload shape.
-  std::vector<GridKnnPyramid::LevelSpec> specs;
-  const std::size_t ks[] = {4, 48, 120};
-  for (std::size_t l = 0; l < 3; ++l) {
-    GridKnnPyramid::LevelSpec spec;
-    for (std::uint32_t i = 0; i < pts.size(); i += (1u << (l + 1))) spec.members.push_back(i);
-    spec.expected_k = ks[l];
-    specs.push_back(std::move(spec));
+// Finite queries however far off the grid stay exact (the cell map clamps
+// in floating point before converting), including ones whose squared
+// distances overflow to +inf and tie on every point.
+TEST(GridKnn, FarOffFiniteQueriesMatchBruteForce) {
+  const auto pts = random_points(200, 0xFA4);
+  for (const std::size_t k : {std::size_t{3}, std::size_t{60}}) {
+    const GridKnn grid(pts, k);
+    GridKnn::QueryScratch scratch;
+    std::vector<std::uint32_t> got;
+    for (const Vec2 q : {Vec2{1e300, -1e300}, Vec2{-1e300, 5.0}, Vec2{5.0, 1e300},
+                         Vec2{1e150, 1e150}, Vec2{1e6, -3.0}, Vec2{-40.0, 12.0}}) {
+      grid.nearest_into(q, k, GridKnn::npos, scratch, got);
+      EXPECT_EQ(got, brute_knn(pts, q, k)) << "k=" << k << " q=(" << q.x << ", " << q.y << ")";
+      grid.nearest_into(q, k, 7, scratch, got);
+      EXPECT_EQ(got, brute_knn(pts, q, k, 7)) << "k=" << k << " q=(" << q.x << ", " << q.y << ")";
+    }
   }
-  const GridKnnPyramid pyramid(pts, specs);
-  ASSERT_EQ(pyramid.num_levels(), 3u);
+}
+
+TEST(GridKnn, NonFiniteQueriesThrow) {
+  const auto pts = random_points(50, 0xBAD);
+  const GridKnn grid(pts, 4);
+  const GridKnn empty(std::vector<Vec2>{}, 4);
+  GridKnn::QueryScratch scratch;
+  std::vector<std::uint32_t> out;
+  for (const Vec2 bad : {Vec2{kNan, 1.0}, Vec2{1.0, kNan}, Vec2{kInfinity, 1.0},
+                         Vec2{1.0, -kInfinity}}) {
+    EXPECT_THROW(grid.nearest_into(bad, 4, GridKnn::npos, scratch, out), std::invalid_argument);
+    EXPECT_THROW(grid.nearest_into(bad, 60, GridKnn::npos, scratch, out), std::invalid_argument);
+    EXPECT_THROW(empty.nearest_into(bad, 4, GridKnn::npos, scratch, out), std::invalid_argument);
+    EXPECT_THROW(grid.within_into(bad, 1.0, out), std::invalid_argument);
+  }
+  EXPECT_THROW(grid.within_into({5.0, 5.0}, kNan, out), std::invalid_argument);
+  // A negative squared radius lists nothing (not even a member at q).
+  out.clear();
+  grid.within_into(pts[0], -1.0, out);
+  grid.within_into(pts[0], -kInfinity, out);
+  EXPECT_TRUE(out.empty());
+}
+
+// --- GridKnn subset views: one grid per population over one store -------
+
+class GridKnnSubsetParamTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every subset view must agree bit-for-bit with a *fresh* GridKnn built
+// over the compacted subset coordinates (local ids mapped back through the
+// member list) — same neighbors, same order, same (distance, index)
+// tie-breaks. Member lists are ascending, so local-id tie-break order
+// equals global-id tie-break order. The views share one store, each is
+// tuned for a very different k, and the subsets are nested thinnings —
+// the HNG population shape.
+TEST_P(GridKnnSubsetParamTest, MatchesFreshGridKnnOracle) {
+  const auto pts = random_points(420, GetParam() * 23 + 1);
+  // Keep every 2nd/4th/8th point.
+  const std::size_t ks[] = {4, 48, 120};
+  std::vector<std::vector<std::uint32_t>> member_lists(3);
+  std::vector<GridKnn> grids;
+  for (std::size_t l = 0; l < 3; ++l) {
+    for (std::uint32_t i = 0; i < pts.size(); i += (1u << (l + 1))) {
+      member_lists[l].push_back(i);
+    }
+    grids.emplace_back(pts, member_lists[l], ks[l]);
+  }
 
   GridKnn::QueryScratch scratch;
   GridKnn::QueryScratch oracle_scratch;
   std::vector<std::uint32_t> got;
   std::vector<std::uint32_t> oracle_local;
   for (std::size_t l = 0; l < 3; ++l) {
-    const auto& members = specs[l].members;
+    const auto& members = member_lists[l];
     std::vector<Vec2> subset;
     subset.reserve(members.size());
     for (const std::uint32_t m : members) subset.push_back(pts[m]);
     const GridKnn fresh(subset, ks[l]);
-    EXPECT_EQ(pyramid.level(l).size(), members.size());
+    EXPECT_EQ(grids[l].size(), members.size());
 
     Rng rng(GetParam() + 31 * l);
     for (int t = 0; t < 20; ++t) {
@@ -287,69 +340,63 @@ TEST_P(GridKnnPyramidParamTest, LevelsMatchFreshGridKnnOracle) {
       // Query both off-tune (k != expected_k) and on-tune to cross the
       // streaming/selection strategy threshold on shared scratches.
       for (const std::size_t k : {std::size_t{1}, ks[l], std::size_t{200}}) {
-        pyramid.level(l).nearest_into(q, k, GridKnn::npos, scratch, got);
+        grids[l].nearest_into(q, k, GridKnn::npos, scratch, got);
         fresh.nearest_into(q, k, GridKnn::npos, oracle_scratch, oracle_local);
         std::vector<std::uint32_t> want(oracle_local.size());
         for (std::size_t i = 0; i < oracle_local.size(); ++i) want[i] = members[oracle_local[i]];
-        EXPECT_EQ(got, want) << "level " << l << " k " << k;
+        EXPECT_EQ(got, want) << "subset " << l << " k " << k;
       }
     }
     // Member self-queries with exclusion — the HNG linking workload.
     for (std::size_t i = 0; i < members.size(); i += 7) {
       const std::uint32_t m = members[i];
-      pyramid.level(l).nearest_into(pts[m], ks[l], m, scratch, got);
+      grids[l].nearest_into(pts[m], ks[l], m, scratch, got);
       fresh.nearest_into(pts[m], ks[l], static_cast<std::uint32_t>(i), oracle_scratch,
                          oracle_local);
       std::vector<std::uint32_t> want(oracle_local.size());
       for (std::size_t j = 0; j < oracle_local.size(); ++j) want[j] = members[oracle_local[j]];
-      EXPECT_EQ(got, want) << "level " << l << " member " << m;
+      EXPECT_EQ(got, want) << "subset " << l << " member " << m;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GridKnnPyramidParamTest, ::testing::Range<std::uint64_t>(1, 7));
+INSTANTIATE_TEST_SUITE_P(Seeds, GridKnnSubsetParamTest, ::testing::Range<std::uint64_t>(1, 7));
 
-TEST(GridKnnPyramid, DuplicatePointsTieBreakByGlobalIndex) {
-  // Six coincident points; the level indexes the odd-id half. Ties must
+TEST(GridKnnSubset, DuplicatePointsTieBreakByGlobalIndex) {
+  // Six coincident points; the view indexes the odd-id half. Ties must
   // resolve by ascending *global* id within the membership.
-  std::vector<Vec2> pts(6, Vec2{3.0, 3.0});
-  std::vector<GridKnnPyramid::LevelSpec> specs(1);
-  specs[0].members = {1, 3, 5};
-  specs[0].expected_k = 2;
-  const GridKnnPyramid pyramid(pts, specs);
+  const std::vector<Vec2> pts(6, Vec2{3.0, 3.0});
+  const GridKnn grid(pts, std::vector<std::uint32_t>{1, 3, 5}, 2);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
-  pyramid.level(0).nearest_into({3.0, 3.0}, 2, GridKnn::npos, scratch, out);
+  grid.nearest_into({3.0, 3.0}, 2, GridKnn::npos, scratch, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 3}));
-  pyramid.level(0).nearest_into({3.0, 3.0}, 2, 3, scratch, out);
+  grid.nearest_into({3.0, 3.0}, 2, 3, scratch, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 5}));
 }
 
-TEST(GridKnnPyramid, KAtLeastLevelSizeAndEmptyLevels) {
+TEST(GridKnnSubset, KAtLeastSubsetSizeAndEmptySubsets) {
   const auto pts = random_points(60, 12);
-  std::vector<GridKnnPyramid::LevelSpec> specs(2);
-  specs[0].members = {2, 11, 29, 47};
-  specs[0].expected_k = 9;  // > |members|
-  specs[1].members = {};    // empty level: queries must return 0
-  specs[1].expected_k = 3;
-  const GridKnnPyramid pyramid(pts, specs);
+  const std::vector<std::uint32_t> members{2, 11, 29, 47};
+  const GridKnn grid(pts, members, 9);  // expected_k > |members|
+  const GridKnn empty(pts, std::vector<std::uint32_t>{}, 3);  // queries must return 0
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
   // k >= n collects the whole membership, sorted by (distance, id).
-  EXPECT_EQ(pyramid.level(0).nearest_into({5.0, 5.0}, 9, GridKnn::npos, scratch, out), 4u);
+  EXPECT_EQ(grid.nearest_into({5.0, 5.0}, 9, GridKnn::npos, scratch, out), 4u);
   std::vector<std::uint32_t> sorted = out;
   std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, specs[0].members);
-  EXPECT_EQ(pyramid.level(0).nearest_into({5.0, 5.0}, 9, 29, scratch, out), 3u);
-  EXPECT_EQ(pyramid.level(1).nearest_into({5.0, 5.0}, 3, GridKnn::npos, scratch, out), 0u);
-  EXPECT_EQ(pyramid.level(1).size(), 0u);
+  EXPECT_EQ(sorted, members);
+  EXPECT_EQ(grid.nearest_into({5.0, 5.0}, 9, 29, scratch, out), 3u);
+  EXPECT_EQ(empty.nearest_into({5.0, 5.0}, 3, GridKnn::npos, scratch, out), 0u);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
-TEST(GridKnnPyramid, RejectsOutOfRangeMembers) {
+TEST(GridKnnSubset, RejectsOutOfRangeMembers) {
   const auto pts = random_points(10, 4);
-  std::vector<GridKnnPyramid::LevelSpec> specs(1);
-  specs[0].members = {3, 10};
-  EXPECT_THROW(GridKnnPyramid(pts, specs), std::out_of_range);
+  EXPECT_THROW(GridKnn(pts, std::vector<std::uint32_t>{3, 10}, 1), std::out_of_range);
+  EXPECT_THROW(GridKnn(std::span<const Vec2>{}, std::vector<std::uint32_t>{0}, 1),
+               std::out_of_range);
 }
 
 // --- mutable membership: the churn substrate of sens/dynamic -------------
@@ -565,47 +612,49 @@ TEST(GridKnnWithin, InfiniteAndHugeRadiiListEveryMember) {
   EXPECT_TRUE(got.empty());
 }
 
-// Pyramid mutation: grow the store, append levels, drain and repopulate a
-// level, recycle a vacated slot with new coordinates — after all of it,
-// every level must match a fresh pyramid built from the current state.
-TEST(GridKnnPyramidMutation, GrowDrainRepopulateMatchesFreshPyramid) {
-  const auto pts = random_points(40, 21);
-  std::vector<GridKnnPyramid::LevelSpec> specs(1);
-  for (std::uint32_t i = 1; i < pts.size(); i += 2) specs[0].members.push_back(i);
-  specs[0].expected_k = 3;
-  GridKnnPyramid pyramid(pts, specs);
+// Several subset views over one growing store: grow the store (with
+// reallocation) and rebind, add a view, drain and repopulate it, recycle a
+// vacated slot with new coordinates — after all of it, every view must
+// match a fresh view built from the current state. This is the population
+// grid life cycle of sens/dynamic.
+TEST(GridKnnSubsetMutation, GrowDrainRepopulateMatchesFresh) {
+  std::vector<Vec2> store = random_points(40, 21);
+  std::vector<std::uint32_t> odd;
+  for (std::uint32_t i = 1; i < store.size(); i += 2) odd.push_back(i);
+  std::vector<GridKnn> grids;
+  grids.emplace_back(store, odd, 3);
 
-  // Store growth (with reallocation) + admissions of brand-new ids.
+  // Store growth + admissions of brand-new ids; every growth rebinds.
   Rng rng(0x9E4);
+  int reallocations = 0;
   for (int i = 0; i < 20; ++i) {
-    const auto id = pyramid.append_point({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
-    if (i % 2 == 0) pyramid.insert(0, id);
+    const Vec2* before = store.data();
+    store.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
+    reallocations += store.data() != before;
+    for (GridKnn& g : grids) g.rebind(store);
+    if (i % 2 == 0) grids[0].insert_member(static_cast<std::uint32_t>(store.size() - 1));
   }
-  pyramid.push_level(2);
-  ASSERT_EQ(pyramid.num_levels(), 2u);
-  for (const std::uint32_t id : {41u, 45u, 49u}) pyramid.insert(1, id);
+  EXPECT_GT(reallocations, 0);
+  grids.emplace_back(store, std::span<const std::uint32_t>{}, 2);
+  for (const std::uint32_t id : {41u, 45u, 49u}) grids[1].insert_member(id);
 
-  // Drain level 1 to empty, then repopulate it differently.
-  for (const std::uint32_t id : {41u, 45u, 49u}) pyramid.erase(1, id);
+  // Drain the second view to empty, then repopulate it differently.
+  for (const std::uint32_t id : {41u, 45u, 49u}) grids[1].erase_member(id);
   GridKnn::QueryScratch scratch;
   std::vector<std::uint32_t> out;
-  EXPECT_EQ(pyramid.level(1).nearest_into({5.0, 5.0}, 2, GridKnn::npos, scratch, out), 0u);
-  for (const std::uint32_t id : {2u, 40u, 58u}) pyramid.insert(1, id);
+  EXPECT_EQ(grids[1].nearest_into({5.0, 5.0}, 2, GridKnn::npos, scratch, out), 0u);
+  for (const std::uint32_t id : {2u, 40u, 58u}) grids[1].insert_member(id);
 
   // Recycle a vacated slot at new coordinates.
-  pyramid.erase(0, 1);
-  pyramid.set_point(1, {9.5, 0.25});
-  pyramid.insert(0, 1);
+  grids[0].erase_member(1);
+  store[1] = {9.5, 0.25};
+  grids[0].insert_member(1);
 
-  const std::span<const Vec2> store = pyramid.points();
   EXPECT_EQ(store.size(), 60u);
   const std::size_t ks[] = {3, 2};
-  for (std::size_t l = 0; l < 2; ++l) {
-    expect_matches_fresh(pyramid.level(l), store, ks[l], 0x9E5 + l);
-  }
-  EXPECT_THROW(pyramid.set_point(60, {0.0, 0.0}), std::out_of_range);
-  EXPECT_THROW(pyramid.insert(2, 0), std::out_of_range);
-  EXPECT_THROW(pyramid.erase(0, 60), std::out_of_range);
+  for (std::size_t l = 0; l < 2; ++l) expect_matches_fresh(grids[l], store, ks[l], 0x9E5 + l);
+  EXPECT_THROW(grids[0].insert_member(60), std::out_of_range);
+  EXPECT_THROW(grids[0].erase_member(60), std::out_of_range);
 }
 
 // Collinear points: a degenerate (zero-height) bounding box must not break
