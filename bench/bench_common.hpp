@@ -12,6 +12,10 @@
 //   --trace FILE   export ScopedSpan phase timings as a Chrome-trace /
 //                  Perfetto JSON timeline (load in chrome://tracing or
 //                  ui.perfetto.dev)
+// A bench that reads flags of its own names them to `BenchEnv::parse`; any
+// other flag, or a stray positional argument, stops the run with exit
+// status 2 before any work, so a typo such as `--seeed 5` cannot silently
+// run the defaults.
 //
 // Every bench footer ends with one uniform `[obs]` block (DESIGN.md §2.10):
 // elapsed wall clock, peak RSS, per-phase span totals, pool utilization, and
@@ -21,11 +25,15 @@
 // table, so they land in `--json` and are cmp'd across --threads by CI.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,8 +81,13 @@ struct BenchEnv {
   std::string trace_path;    ///< empty = no Chrome-trace export
   Timer timer;
 
-  static BenchEnv parse(int argc, char** argv) {
+  /// Parses the shared flags above plus the bench's own `extra_flags` (read
+  /// by the bench through its own `Cli`). Exits with status 2, naming the
+  /// argument, on any other flag or on a positional argument.
+  static BenchEnv parse(int argc, char** argv,
+                        std::initializer_list<std::string_view> extra_flags = {}) {
     const Cli cli(argc, argv);
+    reject_unknown(cli, extra_flags);
     BenchEnv env;
     env.scale = cli.has("full") ? 10 : 1;
     env.scale = static_cast<std::size_t>(cli.get("scale", static_cast<long>(env.scale)));
@@ -168,6 +181,25 @@ struct BenchEnv {
   }
 
  private:
+  static void reject_unknown(const Cli& cli, std::initializer_list<std::string_view> extra_flags) {
+    constexpr std::string_view kShared[] = {"full", "scale", "seed", "threads",
+                                            "csv",  "json",  "trace"};
+    auto known = [&](std::string_view name) {
+      return std::find(std::begin(kShared), std::end(kShared), name) != std::end(kShared) ||
+             std::find(extra_flags.begin(), extra_flags.end(), name) != extra_flags.end();
+    };
+    for (const auto& [name, value] : cli.options()) {
+      if (known(name)) continue;
+      std::cerr << "error: unknown flag --" << name << " (" << cli.program() << ")\n";
+      std::exit(2);
+    }
+    if (!cli.positional().empty()) {
+      std::cerr << "error: unexpected argument '" << cli.positional().front() << "' ("
+                << cli.program() << ")\n";
+      std::exit(2);
+    }
+  }
+
   /// Nonzero obs registry totals as a (counter, value) table. Values are
   /// exact uint64 counts rendered in full — never Table::fmt's rounded
   /// doubles — so the CI byte-diff compares true equality.

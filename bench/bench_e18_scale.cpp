@@ -120,7 +120,7 @@ double mibs(std::uint64_t bytes) { return static_cast<double>(bytes) / (1024.0 *
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchEnv env = BenchEnv::parse(argc, argv);
+  BenchEnv env = BenchEnv::parse(argc, argv, {"nmax"});
   const Cli cli(argc, argv);
   const auto nmax = static_cast<std::size_t>(cli.get("nmax", 1'000'000L));
 

@@ -105,7 +105,7 @@ void verdict_row(Table& t, const std::string& phase, const EpochQueryEngine& eng
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchEnv env = BenchEnv::parse(argc, argv);
+  BenchEnv env = BenchEnv::parse(argc, argv, {"fmax"});
   const Cli cli(argc, argv);
   const double fmax = cli.get("fmax", 0.5);
   env.header("E19 / fault injection: degradation and epoch survival",

@@ -1,44 +1,56 @@
 #include "sens/core/nn_sens.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cmath>
 #include <utility>
-
-#include "sens/spatial/grid_knn.hpp"
+#include <vector>
 
 namespace sens {
 
 namespace {
 
-/// Lazy cache of k-NN selections for the (few) overlay nodes. Queries go
-/// through one reused scratch buffer, so only the cached result allocates.
-class KnnEdgeOracle {
- public:
-  KnnEdgeOracle(std::span<const Vec2> points, std::size_t k) : index_(points, k), k_(k) {}
-
-  [[nodiscard]] bool has_edge(std::uint32_t u, std::uint32_t v) {
-    return selects(u, v) || selects(v, u);
+/// A GridIndex over the bounding box of `points` with about one point per
+/// cell: the disks an overlay edge test scans are a few tile radii wide,
+/// well inside the k-NN radius, so fine cells keep the scanned rows close
+/// to the disk. The cell count is capped at ~4n (a degenerate aspect ratio
+/// floors one axis at a single cell).
+GridIndex edge_index(std::span<const Vec2> points) {
+  Box box{{0.0, 0.0}, {0.0, 0.0}};
+  if (!points.empty()) box = {points[0], points[0]};
+  for (const Vec2 p : points) {
+    box.lo = {std::min(box.lo.x, p.x), std::min(box.lo.y, p.y)};
+    box.hi = {std::max(box.hi.x, p.x), std::max(box.hi.y, p.y)};
   }
-
- private:
-  [[nodiscard]] bool selects(std::uint32_t from, std::uint32_t to) {
-    auto it = cache_.find(from);
-    if (it == cache_.end()) {
-      index_.nearest_into(index_.points()[from], k_, from, scratch_, found_);
-      std::sort(found_.begin(), found_.end());
-      it = cache_.emplace(from, found_).first;
-    }
-    return std::binary_search(it->second.begin(), it->second.end(), to);
-  }
-
-  GridKnn index_;
-  std::size_t k_;
-  GridKnn::QueryScratch scratch_;
-  std::vector<std::uint32_t> found_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> cache_;
-};
+  const double n = static_cast<double>(std::max<std::size_t>(points.size(), 1));
+  const double w = std::max(box.width(), 1e-9);
+  const double h = std::max(box.height(), 1e-9);
+  double cell = std::sqrt(w * h / n);
+  while (std::ceil(w / cell) * std::ceil(h / cell) > 4.0 * n + 8.0) cell *= 2.0;
+  return GridIndex(points, box, cell);
+}
 
 }  // namespace
+
+KnnEdgeOracle::KnnEdgeOracle(std::span<const Vec2> points, std::size_t k)
+    : points_(points), index_(edge_index(points)), k_(k) {}
+
+bool KnnEdgeOracle::selects(std::uint32_t u, std::uint32_t v) const {
+  const Vec2 pu = points_[u];
+  const double dx = points_[v].x - pu.x;
+  const double dy = points_[v].y - pu.y;
+  const double d2v = dx * dx + dy * dy;
+  // The index filters by the same arithmetic against the padded radius
+  // squared, so no w with d2 <= d2v is dropped; the pad also covers the
+  // rounding of the cell map (as in GridKnn::within_into). u itself is
+  // always visited, so k = 0 stops at the first visit and selects nothing.
+  const double r = std::sqrt(d2v) * (1.0 + 1e-9) + 1e-12 * (std::abs(pu.x) + std::abs(pu.y));
+  std::size_t ahead = 0;
+  const bool k_ahead = index_.for_each_in_radius_until(pu, r, [&](std::uint32_t w, double d2) {
+    ahead += w != u && (d2 < d2v || (d2 == d2v && w < v));
+    return ahead >= k_;
+  });
+  return !k_ahead;
+}
 
 Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> points) {
   Overlay ov;
@@ -48,15 +60,18 @@ Overlay build_nn_overlay(const NnClassification& cls, std::span<const Vec2> poin
   ov.rep_node.assign(cls.window.tile_count(), Overlay::no_node());
   ov.exit_chain.assign(cls.window.tile_count(), {});
 
-  std::unordered_map<std::uint32_t, std::uint32_t> node_of_point;
+  // Overlay node of each point (no_node() until a role first names it).
+  std::vector<std::uint32_t> node_of_point(points.size(), Overlay::no_node());
   auto overlay_node = [&](std::uint32_t point_idx) {
-    auto [it, inserted] = node_of_point.try_emplace(
-        point_idx, static_cast<std::uint32_t>(ov.base_index.size()));
-    if (inserted) ov.base_index.push_back(point_idx);
-    return it->second;
+    std::uint32_t& node = node_of_point.at(point_idx);
+    if (node == Overlay::no_node()) {
+      node = static_cast<std::uint32_t>(ov.base_index.size());
+      ov.base_index.push_back(point_idx);
+    }
+    return node;
   };
 
-  KnnEdgeOracle oracle(points, cls.k);
+  const KnnEdgeOracle oracle(points, cls.k);
   CsrGraph::Builder edges;
   auto try_edge = [&](std::uint32_t a, std::uint32_t b) {
     if (a == b) return;

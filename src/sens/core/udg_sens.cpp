@@ -1,7 +1,7 @@
 #include "sens/core/udg_sens.hpp"
 
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace sens {
 
@@ -15,12 +15,14 @@ Overlay build_udg_overlay(const UdgClassification& cls, std::span<const Vec2> po
 
   // Dedupe overlay nodes: one point may serve several roles (e.g. relay for
   // two adjacent directions when the lenses overlap).
-  std::unordered_map<std::uint32_t, std::uint32_t> node_of_point;
+  std::vector<std::uint32_t> node_of_point(points.size(), Overlay::no_node());
   auto overlay_node = [&](std::uint32_t point_idx) {
-    auto [it, inserted] = node_of_point.try_emplace(
-        point_idx, static_cast<std::uint32_t>(ov.base_index.size()));
-    if (inserted) ov.base_index.push_back(point_idx);
-    return it->second;
+    std::uint32_t& node = node_of_point.at(point_idx);
+    if (node == Overlay::no_node()) {
+      node = static_cast<std::uint32_t>(ov.base_index.size());
+      ov.base_index.push_back(point_idx);
+    }
+    return node;
   };
 
   CsrGraph::Builder edges;

@@ -21,12 +21,8 @@ GeoGraph build_udg(std::span<const Vec2> points, Box bounds, double radius) {
   const GridIndex index(points, bounds, radius);
   FlatAdjacency adj = build_flat_adjacency(
       points.size(),
-      [&](std::size_t i) {
-        std::size_t count = 0;
-        index.for_each_in_radius(points[i], radius,
-                                 [&](std::uint32_t j) { count += j != i; });
-        return count;
-      },
+      // The disk around points[i] always holds point i itself.
+      [&](std::size_t i) { return index.count_in_radius(points[i], radius) - 1; },
       [&](std::size_t i, std::uint32_t* out) {
         index.for_each_in_radius(points[i], radius, [&](std::uint32_t j) {
           if (j != i) *out++ = j;

@@ -5,7 +5,7 @@
 namespace sens {
 
 GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
-    : points_(points.begin(), points.end()), bounds_(bounds), cell_size_(cell_size) {
+    : bounds_(bounds), cell_size_(cell_size) {
   if (cell_size_ <= 0.0) throw std::invalid_argument("GridIndex: cell_size <= 0");
   if (!is_finite(bounds_.lo) || !is_finite(bounds_.hi)) {
     throw std::invalid_argument("GridIndex: bounds must be finite");
@@ -15,7 +15,7 @@ GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
 
   const std::size_t cells = nx_ * ny_;
   std::vector<std::uint32_t> counts(cells, 0);
-  for (const Vec2& p : points_) {
+  for (const Vec2& p : points) {
     if (!is_finite(p)) throw std::invalid_argument("GridIndex: point coordinates must be finite");
     ++counts[cell_of(p)];
   }
@@ -23,9 +23,14 @@ GridIndex::GridIndex(std::span<const Vec2> points, Box bounds, double cell_size)
   offsets_.assign(cells + 1, 0);
   for (std::size_t c = 0; c < cells; ++c) offsets_[c + 1] = offsets_[c] + counts[c];
 
-  order_.resize(points_.size());
+  order_.resize(points.size());
+  points_.resize(points.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (std::uint32_t i = 0; i < points_.size(); ++i) order_[cursor[cell_of(points_[i])]++] = i;
+  for (std::uint32_t i = 0; i < points.size(); ++i) {
+    const std::uint32_t slot = cursor[cell_of(points[i])]++;
+    order_[slot] = i;
+    points_[slot] = points[i];
+  }
 }
 
 std::size_t GridIndex::cell_of(Vec2 p) const {

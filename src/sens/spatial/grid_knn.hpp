@@ -10,7 +10,8 @@
 // sort of every point on any input (asserted by
 // `GridKnnParamTest.MatchesBruteForceOracle`). It is the library's only k-NN
 // engine: `knn_selections_flat` drives it chunk-parallel with one scratch
-// per chunk (DESIGN.md §2.3), and the NN-SENS overlay queries it lazily.
+// per chunk (DESIGN.md §2.3). The NN-SENS edge test uses the same distance
+// arithmetic and (distance, index) order, counted over a GridIndex instead.
 //
 // Cell size is tuned at construction for an expected query size k; queries
 // with other k values stay exact, only ring granularity is off-tune. A

@@ -1,10 +1,17 @@
 // Property and integration tests for the NN-SENS construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "sens/core/coverage.hpp"
 #include "sens/core/metrics.hpp"
 #include "sens/core/nn_sens.hpp"
 #include "sens/core/sens_router.hpp"
+#include "sens/rng/rng.hpp"
+
+#include "brute_knn.hpp"
 
 namespace sens {
 namespace {
@@ -106,6 +113,151 @@ TEST(NnSensRouter, RoutesAcrossTheWindow) {
   // NN tile hop realizes through 4 relays -> about 5 node hops per tile hop.
   EXPECT_GE(route.node_hops(), route.tile_hops);
   EXPECT_LE(route.node_hops(), 5 * route.tile_hops + 1);
+}
+
+// --- KnnEdgeOracle: the bounded-count edge test against brute force -------
+
+/// Every ordered pair (u, v): `selects(u, v)` equals "v is in brute_knn(u)",
+/// and `has_edge` is the union of both directions.
+void expect_oracle_matches_brute_force(const std::vector<Vec2>& pts, std::size_t k) {
+  const KnnEdgeOracle oracle(pts, k);
+  std::vector<std::vector<std::uint32_t>> knn(pts.size());
+  for (std::uint32_t u = 0; u < pts.size(); ++u) {
+    knn[u] = brute_knn(pts, pts[u], k, u);
+    std::sort(knn[u].begin(), knn[u].end());
+  }
+  const auto in_knn = [&](std::uint32_t u, std::uint32_t v) {
+    return std::binary_search(knn[u].begin(), knn[u].end(), v);
+  };
+  for (std::uint32_t u = 0; u < pts.size(); ++u) {
+    for (std::uint32_t v = 0; v < pts.size(); ++v) {
+      if (u == v) continue;
+      ASSERT_EQ(oracle.selects(u, v), in_knn(u, v)) << "k " << k << " u " << u << " v " << v;
+      ASSERT_EQ(oracle.has_edge(u, v), in_knn(u, v) || in_knn(v, u));
+    }
+  }
+}
+
+/// An m x m integer lattice whose top-right site is moved to (m, m): the
+/// bounding box is m x m over m² points, so the oracle's index has cells of
+/// side exactly 1 and every site sits on a cell border.
+std::vector<Vec2> border_lattice(int m) {
+  std::vector<Vec2> pts;
+  for (int y = 0; y < m; ++y) {
+    for (int x = 0; x < m; ++x) pts.push_back({x * 1.0, y * 1.0});
+  }
+  pts.back() = {m * 1.0, m * 1.0};
+  return pts;
+}
+
+TEST(KnnEdgeOracle, LatticeTiesAtTheKthDistance) {
+  // On a lattice the 4 nearest sit at 1, the next 4 at sqrt 2, then 4 at 2:
+  // each k below ends inside or at the edge of a tie.
+  const std::vector<Vec2> pts = border_lattice(8);
+  for (const std::size_t k : {0u, 1u, 3u, 4u, 5u, 8u, 11u, 12u, 20u}) {
+    expect_oracle_matches_brute_force(pts, k);
+  }
+  // The same lattice shifted off the cell borders and scaled.
+  std::vector<Vec2> shifted = pts;
+  for (Vec2& p : shifted) p = {p.x * 0.75 + 3.125, p.y * 0.75 - 7.5};
+  for (const std::size_t k : {4u, 8u}) expect_oracle_matches_brute_force(shifted, k);
+}
+
+TEST(KnnEdgeOracle, DuplicatePointsTieBreakByIndex) {
+  // Every site held three times, plus a cluster of one repeated point: ties
+  // at distance zero and at the k-th distance are both broken by index.
+  std::vector<Vec2> pts;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (int y = 0; y < 4; ++y) {
+      for (int x = 0; x < 4; ++x) pts.push_back({x * 1.0, y * 1.0});
+    }
+  }
+  for (int i = 0; i < 6; ++i) pts.push_back({1.5, 1.5});
+  for (const std::size_t k : {1u, 2u, 3u, 5u, 8u, 9u, 13u}) {
+    expect_oracle_matches_brute_force(pts, k);
+  }
+}
+
+TEST(KnnEdgeOracle, KAtLeastNMinusOneSelectsEverything) {
+  Rng rng(0xE06E);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 40; ++i) pts.push_back({rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)});
+  for (const std::size_t k : {pts.size() - 2, pts.size() - 1, pts.size(), pts.size() + 7}) {
+    expect_oracle_matches_brute_force(pts, k);
+  }
+  // Degenerate layouts: a single point, all points coincident, collinear.
+  expect_oracle_matches_brute_force({{2.0, 2.0}}, 3);
+  expect_oracle_matches_brute_force(std::vector<Vec2>(7, Vec2{1.0, -1.0}), 3);
+  std::vector<Vec2> line;
+  for (int i = 0; i < 30; ++i) line.push_back({i * 0.5, 4.0});
+  expect_oracle_matches_brute_force(line, 5);
+}
+
+TEST(KnnEdgeOracle, RandomPointsMatchBruteForce) {
+  Rng rng(0x5E45);
+  std::vector<Vec2> pts;
+  for (int i = 0; i < 150; ++i) pts.push_back({rng.uniform(0.0, 12.0), rng.uniform(0.0, 12.0)});
+  for (const std::size_t k : {1u, 6u, 25u, 90u}) expect_oracle_matches_brute_force(pts, k);
+}
+
+// With k far below the paper's 188 the Claim 2.3 paths break, so the
+// overlay records missing edges. Every edge the builder tries — present or
+// missing — must agree with brute-force k-NN membership.
+TEST(NnSens, OverlayEdgesMatchBruteForceWithMissingEdges) {
+  const NnSensResult r = build_nn_sens(NnTileSpec::paper(), 6, 6, 11);
+  NnClassification cls = r.classification;
+  cls.k = 12;
+  const std::span<const Vec2> pts = r.points.points;
+  const Overlay ov = build_nn_overlay(cls, pts);
+  ASSERT_GT(ov.edges_missing, 0u);
+
+  const auto brute_edge = [&](std::uint32_t a, std::uint32_t b) {
+    const std::uint32_t u = ov.base_index[a];
+    const std::uint32_t v = ov.base_index[b];
+    const auto knn_u = brute_knn(pts, pts[u], cls.k, u);
+    const auto knn_v = brute_knn(pts, pts[v], cls.k, v);
+    return std::find(knn_u.begin(), knn_u.end(), v) != knn_u.end() ||
+           std::find(knn_v.begin(), knn_v.end(), u) != knn_v.end();
+  };
+  // The builder's tries, in its order: rep - E relay - C relay per
+  // direction, then the C relays of open neighbors in +x and +y.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tries;
+  const SiteGrid& grid = ov.sites;
+  for (std::int32_t y = 0; y < grid.height(); ++y) {
+    for (std::int32_t x = 0; x < grid.width(); ++x) {
+      if (!grid.open({x, y})) continue;
+      const std::size_t idx = ov.tile_index({x, y});
+      for (const auto& chain : ov.exit_chain[idx]) {
+        tries.emplace_back(ov.rep_node[idx], chain[0]);
+        tries.emplace_back(chain[0], chain[1]);
+      }
+    }
+  }
+  for (std::int32_t y = 0; y < grid.height(); ++y) {
+    for (std::int32_t x = 0; x < grid.width(); ++x) {
+      if (!grid.open({x, y})) continue;
+      for (const int dir : {0, 2}) {
+        const Site n{x + (dir == 0 ? 1 : 0), y + (dir == 2 ? 1 : 0)};
+        if (!grid.in_bounds(n) || !grid.open(n)) continue;
+        const auto d = static_cast<std::size_t>(dir);
+        const auto back = static_cast<std::size_t>(opposite_dir(dir));
+        tries.emplace_back(ov.exit_chain[ov.tile_index({x, y})][d].back(),
+                           ov.exit_chain[ov.tile_index(n)][back].back());
+      }
+    }
+  }
+  std::size_t expected = 0, missing = 0, present = 0;
+  for (const auto& [a, b] : tries) {
+    if (a == b) continue;
+    ++expected;
+    const bool edge = brute_edge(a, b);
+    missing += edge ? 0 : 1;
+    present += edge ? 1 : 0;
+    EXPECT_EQ(ov.geo.graph.has_edge(a, b), edge) << a << " " << b;
+  }
+  EXPECT_EQ(ov.edges_expected, expected);
+  EXPECT_EQ(ov.edges_missing, missing);
+  EXPECT_GT(present, 0u);
 }
 
 TEST(NnSens, BufferIndependence) {

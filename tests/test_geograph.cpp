@@ -77,15 +77,26 @@ TEST(PointProcess, BoxSampler) {
 }
 
 TEST(Udg, EdgesMatchBruteForce) {
+  auto expect_brute_force = [](const std::vector<Vec2>& pts, Box w) {
+    const GeoGraph g = build_udg(pts, w, 1.0);
+    ASSERT_EQ(g.size(), pts.size());
+    for (std::uint32_t i = 0; i < pts.size(); ++i) {
+      for (std::uint32_t j = i + 1; j < pts.size(); ++j) {
+        EXPECT_EQ(g.graph.has_edge(i, j), dist(pts[i], pts[j]) <= 1.0) << i << " " << j;
+      }
+    }
+  };
   const Box w{{0.0, 0.0}, {6.0, 6.0}};
-  const PointSet ps = poisson_point_set(w, 1.5, 21);
-  const GeoGraph g = build_udg(ps.points, w, 1.0);
-  ASSERT_EQ(g.size(), ps.size());
-  for (std::uint32_t i = 0; i < ps.size(); ++i) {
-    for (std::uint32_t j = i + 1; j < ps.size(); ++j) {
-      EXPECT_EQ(g.graph.has_edge(i, j), dist(ps.points[i], ps.points[j]) <= 1.0);
+  expect_brute_force(poisson_point_set(w, 1.5, 21).points, w);
+  // An integer lattice on the cell borders, every site held twice: pairs at
+  // exactly the radius are edges, and so are the coincident copies.
+  std::vector<Vec2> lattice;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int y = 0; y <= 6; ++y) {
+      for (int x = 0; x <= 6; ++x) lattice.push_back({x * 1.0, y * 1.0});
     }
   }
+  expect_brute_force(lattice, w);
 }
 
 TEST(Udg, CustomRadius) {

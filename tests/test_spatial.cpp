@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -81,6 +82,71 @@ TEST(GridIndex, RadiusSweepsBeyondCellAreExhaustive) {
   EXPECT_EQ(sorted_radius(index, {0.0, 0.0}, 20.0).size(), pts.size());
   // A radius past every representable cell count still lists everything.
   EXPECT_EQ(sorted_radius(index, {0.0, 0.0}, 1e300).size(), pts.size());
+}
+
+/// The documented visit order of a GridIndex query, built without the
+/// index: the in-radius points sorted row-major by cell, then by id. Cells
+/// are floor((v - lo) / cell), clamped to the grid, as the index maps them.
+std::vector<std::uint32_t> model_scan_order(const std::vector<Vec2>& pts, Box bounds, double cell,
+                                            Vec2 q, double r) {
+  const auto cells_along = [&](double extent) {
+    return std::max(1L, static_cast<long>(std::ceil(extent / cell)));
+  };
+  const long nx = cells_along(bounds.width());
+  const long ny = cells_along(bounds.height());
+  const auto axis = [&](double v, double lo, long cells) {
+    return std::clamp(static_cast<long>(std::floor((v - lo) / cell)), 0L, cells - 1);
+  };
+  const auto cell_of = [&](std::uint32_t j) {
+    return axis(pts[j].y, bounds.lo.y, ny) * nx + axis(pts[j].x, bounds.lo.x, nx);
+  };
+  std::vector<std::uint32_t> order = brute_radius(pts, q, r);  // ascending ids
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return cell_of(a) < cell_of(b); });
+  return order;
+}
+
+// Not just the set: the visit order itself is the documented one, for
+// random points, for a lattice whose sites all sit on cell borders, and for
+// radii spanning several cells.
+TEST(GridIndex, VisitOrderIsRowMajorCellsThenAscendingId) {
+  const Box bounds{{0.0, 0.0}, {10.0, 10.0}};
+  std::vector<Vec2> lattice;
+  for (int y = 0; y <= 10; ++y) {
+    for (int x = 0; x <= 10; ++x) lattice.push_back({x * 1.0, y * 1.0});
+  }
+  for (const std::vector<Vec2>& pts : {random_points(400, 0x0D3), lattice}) {
+    for (const double cell : {1.0, 0.5, 2.5}) {
+      const GridIndex index(pts, bounds, cell);
+      Rng rng(0x0D3 + static_cast<std::uint64_t>(cell * 10.0));
+      std::vector<std::uint32_t> out;
+      for (int t = 0; t < 60; ++t) {
+        const Vec2 q = t % 3 == 0 ? pts[rng.uniform_index(pts.size())]
+                                  : Vec2{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
+        const double r = t % 2 == 0 ? rng.uniform(0.1, 1.0) : rng.uniform(1.0, 4.0);
+        index.query_radius_into(q, r, out);
+        EXPECT_EQ(out, model_scan_order(pts, bounds, cell, q, r)) << "cell " << cell << " t " << t;
+      }
+      // Radius exactly one lattice step from a lattice site: the four
+      // border-straddling neighbors are in, in row-major order.
+      index.query_radius_into({5.0, 5.0}, 1.0, out);
+      EXPECT_EQ(out, model_scan_order(pts, bounds, cell, {5.0, 5.0}, 1.0));
+    }
+  }
+}
+
+TEST(GridIndex, CountMatchesVisits) {
+  const auto pts = random_points(300, 0xC0);
+  const GridIndex index(pts, Box{{0.0, 0.0}, {10.0, 10.0}}, 1.0);
+  Rng rng(0xC1);
+  std::vector<std::uint32_t> out;
+  for (int t = 0; t < 40; ++t) {
+    const Vec2 q{rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)};
+    const double r = rng.uniform(0.0, 3.0);
+    EXPECT_EQ(index.count_in_radius(q, r), index.query_radius_into(q, r, out));
+  }
+  EXPECT_EQ(index.count_in_radius(pts[0], -1.0), 0u);
+  EXPECT_THROW((void)index.count_in_radius({kNan, 1.0}, 1.0), std::invalid_argument);
 }
 
 TEST(GridIndex, QueryRadiusIntoReusesBuffer) {
