@@ -18,7 +18,6 @@
 #include "sens/hng/hng.hpp"
 #include "sens/perc/clusters.hpp"
 #include "sens/perc/mesh_router.hpp"
-#include "sens/spatial/grid_index.hpp"
 #include "sens/spatial/grid_knn.hpp"
 #include "sens/rng/rng.hpp"
 #include "sens/spatial/reorder.hpp"
@@ -182,11 +181,12 @@ BENCHMARK(BM_GridKnnBatch)
 void BM_GridRadiusInto(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {48.0, 48.0}};
   const PointSet ps = poisson_point_set(w, 4.0, 7);
-  const GridIndex index(ps.points, w, 1.0);
+  const GridKnn index(ps.points, GridKnn::CellSide{1.0});
   std::vector<std::uint32_t> out;
   std::size_t i = 0;
   for (auto _ : state) {
-    index.query_radius_into(ps.points[i % ps.size()], 1.0, out);
+    out.clear();
+    index.within_into(ps.points[i % ps.size()], 1.0, out);
     benchmark::DoNotOptimize(out.data());
     ++i;
   }
@@ -383,8 +383,8 @@ void BM_HngBuild(benchmark::State& state) {
 BENCHMARK(BM_HngBuild)->Arg(16)->Arg(48);
 
 // The per-population grids in isolation: build one density-tuned subset
-// view per p-thinned population S_2 ⊇ ... ⊇ S_top over one shared point
-// array, then run the HNG linking workload (each member of S_l queries k
+// view per p-thinned population S_2 ⊇ ... ⊇ S_top (each copying its
+// members' coordinates), then run the HNG linking workload (each member of S_l queries k
 // into S_{l+1}).
 void BM_HngLevelGrids(benchmark::State& state) {
   const Box w{{0.0, 0.0}, {32.0, 32.0}};

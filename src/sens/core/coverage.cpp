@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "sens/rng/rng.hpp"
-#include "sens/spatial/grid_index.hpp"
+#include "sens/spatial/grid_knn.hpp"
 
 namespace sens {
 
@@ -63,7 +63,7 @@ Proportion empty_box_probability(const Overlay& overlay, double ell, std::size_t
     result.successes = trials;
     return result;
   }
-  const GridIndex index(giant_points, bounds, std::max(ell, overlay.tile_side));
+  const GridKnn index(giant_points, GridKnn::CellSide{std::max(ell, overlay.tile_side)});
 
   Rng rng = Rng::stream(seed, 0xb0c5);
   const double span_x = bounds.width() - ell;
@@ -78,8 +78,9 @@ Proportion empty_box_probability(const Overlay& overlay, double ell, std::size_t
     // Any giant node in the box? Query the circumscribed radius, filter, and
     // stop the scan at the first hit (the visitor template inlines; no
     // std::function in the trial loop).
+    const double r = ell * 0.7071067811865476 + 1e-9;
     const bool occupied = index.for_each_in_radius_until(
-        box.center(), ell * 0.7071067811865476 + 1e-9,
+        box.center(), r * r,
         [&](std::uint32_t j) { return box.contains(giant_points[j]); });
     if (!occupied) ++result.successes;
   }

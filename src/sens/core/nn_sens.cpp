@@ -1,51 +1,23 @@
 #include "sens/core/nn_sens.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
 namespace sens {
 
-namespace {
-
-/// A GridIndex over the bounding box of `points` with about one point per
-/// cell: the disks an overlay edge test scans are a few tile radii wide,
-/// well inside the k-NN radius, so fine cells keep the scanned rows close
-/// to the disk. The cell count is capped at ~4n (a degenerate aspect ratio
-/// floors one axis at a single cell).
-GridIndex edge_index(std::span<const Vec2> points) {
-  Box box{{0.0, 0.0}, {0.0, 0.0}};
-  if (!points.empty()) box = {points[0], points[0]};
-  for (const Vec2 p : points) {
-    box.lo = {std::min(box.lo.x, p.x), std::min(box.lo.y, p.y)};
-    box.hi = {std::max(box.hi.x, p.x), std::max(box.hi.y, p.y)};
-  }
-  const double n = static_cast<double>(std::max<std::size_t>(points.size(), 1));
-  const double w = std::max(box.width(), 1e-9);
-  const double h = std::max(box.height(), 1e-9);
-  double cell = std::sqrt(w * h / n);
-  while (std::ceil(w / cell) * std::ceil(h / cell) > 4.0 * n + 8.0) cell *= 2.0;
-  return GridIndex(points, box, cell);
-}
-
-}  // namespace
-
 KnnEdgeOracle::KnnEdgeOracle(std::span<const Vec2> points, std::size_t k)
-    : points_(points), index_(edge_index(points)), k_(k) {}
+    : points_(points), index_(points, /*expected_k=*/4), k_(k) {}
 
 bool KnnEdgeOracle::selects(std::uint32_t u, std::uint32_t v) const {
   const Vec2 pu = points_[u];
   const double dx = points_[v].x - pu.x;
   const double dy = points_[v].y - pu.y;
   const double d2v = dx * dx + dy * dy;
-  // The index filters by the same arithmetic against the padded radius
-  // squared, so no w with d2 <= d2v is dropped; the pad also covers the
-  // rounding of the cell map (as in GridKnn::within_into). u itself is
-  // always visited, so k = 0 stops at the first visit and selects nothing.
-  const double r = std::sqrt(d2v) * (1.0 + 1e-9) + 1e-12 * (std::abs(pu.x) + std::abs(pu.y));
+  // The index filters by the same arithmetic, so every w with d2 <= d2v
+  // is visited. u itself is always visited, so k = 0 stops at the first
+  // visit and selects nothing.
   std::size_t ahead = 0;
-  const bool k_ahead = index_.for_each_in_radius_until(pu, r, [&](std::uint32_t w, double d2) {
+  const bool k_ahead = index_.for_each_in_radius_until(pu, d2v, [&](std::uint32_t w, double d2) {
     ahead += w != u && (d2 < d2v || (d2 == d2v && w < v));
     return ahead >= k_;
   });

@@ -5,8 +5,9 @@
 //     neighborhoods of interior tiles are not distorted by the boundary;
 //   * overlay edges must exist in the k-NN graph NN(2, k). Existence is
 //     decided per edge (edge {u,v} exists iff v in kNN(u) or u in kNN(v))
-//     by `KnnEdgeOracle`'s bounded count over a GridIndex — no k-NN list
-//     is built and the full 3M-edge CSR graph is never materialized.
+//     by `KnnEdgeOracle`'s bounded count, a radius scan of a GridKnn — no
+//     k-NN list is built and the full 3M-edge CSR graph is never
+//     materialized.
 //
 // Per Claim 2.3, when adjacent tiles are both good the 5-edge path
 // rep - E relay - C relay - C' relay - E' relay - rep' is guaranteed; the
@@ -19,7 +20,7 @@
 
 #include "sens/core/overlay.hpp"
 #include "sens/geograph/point_set.hpp"
-#include "sens/spatial/grid_index.hpp"
+#include "sens/spatial/grid_knn.hpp"
 #include "sens/tiles/classify.hpp"
 
 namespace sens {
@@ -29,7 +30,12 @@ namespace sens {
 /// dx = p_w.x - p_u.x). v is among u's k nearest iff fewer than k points
 /// w != u precede v in u's order, and every such w lies in the disk of
 /// radius |uv| about u — so each test is one radius scan that stops once
-/// it has counted k. The caller keeps `points` alive and unchanged.
+/// it has counted k. The scans run on a GridKnn tuned for k = 4 (about one
+/// point per cell): the disks an overlay edge test scans are a few tile
+/// radii wide, well inside the k-NN radius, so fine cells keep the scanned
+/// rows close to the disk. The grid holds its own copy of the coordinates;
+/// `selects` reads the endpoints from `points`, which the caller keeps
+/// alive and unchanged.
 class KnnEdgeOracle {
  public:
   KnnEdgeOracle(std::span<const Vec2> points, std::size_t k);
@@ -44,7 +50,7 @@ class KnnEdgeOracle {
 
  private:
   std::span<const Vec2> points_;
-  GridIndex index_;
+  GridKnn index_;
   std::size_t k_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "sens/obs/obs.hpp"
@@ -45,9 +44,8 @@ DynamicHng::DynamicHng(const HngParams& params, std::uint64_t seed)
 
 /// Bulk adoption is the batch construction plus the state events maintain:
 /// the selections and the grids of S_2..S_top come from
-/// build_hng_selections run over points_ itself (so the oracle holds by
-/// construction and the grids are already views over the one store); the
-/// reverse index, S_1's grid and the radius bounds are derived from them.
+/// build_hng_selections (so the oracle holds by construction); the reverse
+/// index, S_1's grid and the radius bounds are derived from them.
 /// The overlay is built by the first read, as after any event.
 DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, std::uint64_t seed)
     : DynamicHng(params, seed) {
@@ -84,10 +82,8 @@ DynamicHng::DynamicHng(std::span<const Vec2> points, const HngParams& params, st
   }
 
   // S_1 (everyone) is indexed here; S_2..S_top are the batch build's own.
-  std::vector<std::uint32_t> everyone(n);
-  std::iota(everyone.begin(), everyone.end(), 0u);
   grids_.reserve(top_);
-  grids_.emplace_back(points_, everyone, params_.k);
+  grids_.emplace_back(points_, params_.k);
   for (GridKnn& g : built.grids) grids_.push_back(std::move(g));
 
   // Each level's radius bound at its exact maximum (what tighten_reach
@@ -141,12 +137,6 @@ void DynamicHng::level_members(std::uint32_t l, std::vector<std::uint32_t>& out)
   out.clear();
   grids_[l - 1].within_into(Vec2{}, kInf, out);
   std::erase_if(out, [&](std::uint32_t w) { return level_[w] != l; });
-}
-
-/// Repoint every grid at points_ after it changed size (and possibly
-/// moved); member coordinates are unchanged, so no grid is rebuilt.
-void DynamicHng::rebind_grids() {
-  for (GridKnn& g : grids_) g.rebind(points_);
 }
 
 /// The batch linking rule for one node, against the *current* live
@@ -281,7 +271,6 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
     in_recompute_.push_back(0);
     sel_.emplace_back();
     selectors_.emplace_back();
-    rebind_grids();
   } else {
     points_[id] = p;  // vacated slot: no grid indexes it now
   }
@@ -294,11 +283,11 @@ void DynamicHng::insert_slot(std::uint32_t id, Vec2 p) {
   const std::uint32_t old_top = top_;
   const std::uint32_t new_top = std::max(old_top, level);
   while (grids_.size() < new_top) {
-    grids_.emplace_back(points_, std::span<const std::uint32_t>{}, params_.k);
+    grids_.emplace_back(std::span<const Vec2>{}, params_.k);
     reach2_.push_back(0.0);
     reach_age_.push_back(0);
   }
-  for (std::uint32_t l = 1; l <= level; ++l) grids_[l - 1].insert_member(id);
+  for (std::uint32_t l = 1; l <= level; ++l) grids_[l - 1].insert_member(id, p);
   ++reach_age_[level - 1];
 
   if (live_n_ == 1) {
@@ -345,7 +334,7 @@ void DynamicHng::remove_slot(std::uint32_t r) {
   alive_[r] = 0;
   --live_n_;
   --level_count_[level_[r]];
-  for (std::uint32_t l = 1; l <= level_[r]; ++l) grids_[l - 1].erase_member(r);
+  for (std::uint32_t l = 1; l <= level_[r]; ++l) grids_[l - 1].erase_member(r, points_[r]);
   ++reach_age_[level_[r] - 1];
 
   const std::uint32_t old_top = top_;
@@ -457,7 +446,6 @@ void DynamicHng::remove(std::uint32_t i) {
   in_recompute_.pop_back();
   sel_.pop_back();
   selectors_.pop_back();
-  rebind_grids();
 }
 
 }  // namespace sens

@@ -22,9 +22,11 @@
 // enforced at every prefix of randomized traces by tests/test_dynamic.cpp
 // (`churn` ctest label).
 //
-// Spatial state is one coordinate array and one GridKnn per population
-// S_l = {live nodes of level >= l}, l = 1..top, each a subset view over
-// that array (the same grids build_hng links with).
+// Spatial state is one GridKnn per population S_l = {live nodes of level
+// >= l}, l = 1..top (S_2..S_top adopted from the batch build that
+// build_hng links with). Each grid owns its members' coordinates, so the
+// slot array points_ can grow, shrink and move freely: a join admits its
+// point into the grids of its levels, a leave retires it from them.
 //
 // Repair sets are bounded, local and exact (DESIGN.md §2.7):
 //  * join u at level L: u's own selection is one k-NN query of S_{L+1}'s
@@ -160,7 +162,6 @@ class DynamicHng {
   void tighten_reach(std::uint32_t l);
   void offer_join(std::uint32_t u);
   void level_members(std::uint32_t l, std::vector<std::uint32_t>& out);
-  void rebind_grids();
   void insert_slot(std::uint32_t id, Vec2 p);
   void remove_slot(std::uint32_t r);
   void begin_event();
@@ -173,9 +174,7 @@ class DynamicHng {
 
   // Slot-indexed node state. The arrays stay at event-entry size while an
   // event is in flight (a swap-remove briefly has two dead slots) and are
-  // trimmed in remove(); alive_ is the in-event liveness mask. points_ is
-  // the only coordinate store: every grid in grids_ is a view over it and
-  // is rebound whenever it changes size.
+  // trimmed in remove(); alive_ is the in-event liveness mask.
   std::vector<Vec2> points_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint8_t> alive_;

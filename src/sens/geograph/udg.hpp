@@ -9,8 +9,11 @@
 
 namespace sens {
 
-/// Build the unit-disk graph over `points` inside `bounds` with connection
-/// radius `radius` (grid-accelerated; O(n) expected for Poisson inputs).
+/// Build the unit-disk graph over `points` with connection radius `radius`
+/// (grid-accelerated; O(n) expected for Poisson inputs). `bounds`, the
+/// deployment window, does not affect the result: the grid covers the
+/// points' own bounding box. Throws std::invalid_argument unless radius is
+/// finite and positive, or if a coordinate is not finite.
 [[nodiscard]] GeoGraph build_udg(std::span<const Vec2> points, Box bounds, double radius = 1.0);
 
 }  // namespace sens

@@ -82,8 +82,8 @@ HngSelections build_hng_selections(std::span<const Vec2> points, const HngParams
                   .cumulative_size = std::move(cumulative_size),
                   .grids = {},
                   .selections = {}};
-  // One density-tuned grid per linking target, each a subset view over the
-  // caller's points.
+  // One density-tuned grid per linking target, each a subset view holding
+  // its members' coordinates.
   s.grids.reserve(members.size());
   for (const std::vector<std::uint32_t>& m : members) {
     s.grids.emplace_back(points, m, std::min(params.k, m.size()));

@@ -14,10 +14,11 @@
 //
 // Determinism: promotion draws come from the per-node seeded stream
 // (seed, kHngLevelStream, node) of the rng layer, and the per-level k-NN
-// linking runs on one exact GridKnn per population (a subset view over the
-// caller's points, tuned for that population's density), each node writing
-// its own disjoint selection slice — so the overlay is bit-identical at any
-// `--threads` value (construction contract: DESIGN.md §2.5).
+// linking runs on one exact GridKnn per population (a subset view that
+// copies its members' coordinates, tuned for that population's density),
+// each node writing its own disjoint selection slice — so the overlay is
+// bit-identical at any `--threads` value (construction contract: DESIGN.md
+// §2.5).
 #pragma once
 
 #include <cstdint>
@@ -77,9 +78,8 @@ struct HngSelections {
   std::uint32_t top_level = 0;                 ///< as HngResult::top_level
   std::vector<std::uint32_t> cumulative_size;  ///< as HngResult::cumulative_size
   /// grids[l - 2] indexes S_l for l in [2, top_level] (none when
-  /// top_level < 2), tuned for min(k, |S_l|)-sized queries. Each is a
-  /// subset view over the `points` passed to build_hng_selections, which
-  /// must outlive them.
+  /// top_level < 2), tuned for min(k, |S_l|)-sized queries. Each owns
+  /// its members' coordinates.
   std::vector<GridKnn> grids;
   /// Row u: u's directed picks — its k nearest in S_{level+1} in
   /// (distance, index) order, or the rest of the top clique ascending.
@@ -87,7 +87,7 @@ struct HngSelections {
 };
 
 /// Levels, population grids and directed selections of H(p, k) over
-/// `points` (no coordinate is copied); same validation as build_hng.
+/// `points`; same validation as build_hng.
 /// `build_hng` is this plus CsrGraph::from_selections.
 [[nodiscard]] HngSelections build_hng_selections(std::span<const Vec2> points,
                                                  const HngParams& params, std::uint64_t seed);

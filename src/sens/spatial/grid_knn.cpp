@@ -12,6 +12,7 @@ namespace sens {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 #if SENS_OBS_ENABLED
 /// Stack-local work tally for one k-NN query, flushed to the obs registry
@@ -33,6 +34,22 @@ void require_finite_query(Vec2 q) {
   if (!is_finite(q)) throw std::invalid_argument("GridKnn: query point must be finite");
 }
 
+void require_finite_point(Vec2 p) {
+  if (!is_finite(p)) throw std::invalid_argument("GridKnn: point coordinates must be finite");
+}
+
+void require_id(std::uint32_t id) {
+  if (id == GridKnn::npos) throw std::out_of_range("GridKnn: member id npos is reserved");
+}
+
+/// The box spanned by `lo` and `hi` must have a finite width and height:
+/// the cell map divides coordinate differences by the cell side.
+void require_finite_extent(Vec2 lo, Vec2 hi) {
+  if (!std::isfinite(hi.x - lo.x) || !std::isfinite(hi.y - lo.y)) {
+    throw std::invalid_argument("GridKnn: bounding box too wide for a double");
+  }
+}
+
 /// Final prune + sort shared by collect_large's exits: keep the k best
 /// under the strict (d2, idx) order, sorted.
 void finish_large(std::size_t k, std::vector<GridKnn::QueryScratch::Candidate>& cands) {
@@ -44,90 +61,110 @@ void finish_large(std::size_t k, std::vector<GridKnn::QueryScratch::Candidate>& 
   std::sort(cands.begin(), cands.end());
 }
 
-}  // namespace
-
-GridKnn::GridKnn(std::span<const Vec2> points, std::size_t expected_k)
-    : owned_points_(points.begin(), points.end()), points_(owned_points_) {
-  std::vector<std::uint32_t> all(owned_points_.size());
-  std::iota(all.begin(), all.end(), 0u);
-  build(all, expected_k);
-}
-
-GridKnn::GridKnn(std::span<const Vec2> shared_points, std::span<const std::uint32_t> members,
-                 std::size_t expected_k)
-    : points_(shared_points) {
-  build(members, expected_k);
-}
-
-/// Index the points named by `members` (ids into `points_`): grid geometry
-/// tuned to the members' bounding box and density, bucket arrays over
-/// member ids only. The search kernels never look at non-member points —
-/// they only walk `order_`.
-void GridKnn::build(std::span<const std::uint32_t> members, std::size_t expected_k) {
-  // Ids are std::uint32_t with npos reserved as the tombstone marker, so the
-  // shared store must stay strictly below npos (DESIGN.md §2.8).
-  if (points_.size() >= npos) {
+/// Ids 0..n-1 for the point-list constructors. Ids are std::uint32_t with
+/// npos reserved as the tombstone marker, so n must stay below npos
+/// (DESIGN.md §2.8).
+std::vector<std::uint32_t> all_ids(std::size_t n) {
+  if (n >= GridKnn::npos) {
     throw std::overflow_error("GridKnn: point store exceeds the 32-bit id space");
   }
-  offsets_.clear();
-  order_.clear();
-  spill_.clear();
-  expected_k_ = expected_k;
-  live_ = members.size();
-  dead_ = 0;
-  if (members.empty()) return;
-  for (const std::uint32_t m : members) {
-    if (m >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
-  }
-  Vec2 hi = points_[members[0]];
-  lo_ = points_[members[0]];
-  for (const std::uint32_t m : members) {
-    const Vec2 p = points_[m];
-    if (!is_finite(p)) throw std::invalid_argument("GridKnn: point coordinates must be finite");
-    lo_.x = std::min(lo_.x, p.x);
-    lo_.y = std::min(lo_.y, p.y);
-    hi.x = std::max(hi.x, p.x);
-    hi.y = std::max(hi.y, p.y);
-  }
-  const double w = std::max(hi.x - lo_.x, 1e-9);
-  const double h = std::max(hi.y - lo_.y, 1e-9);
-  const double density = static_cast<double>(members.size()) / (w * h);
-  // Target ~k/4 (streaming) or ~k/16 (selection) points per cell, floored
-  // so the grid never exceeds ~4n cells (degenerate aspect-ratio guard).
-  const double per_cell =
-      static_cast<double>(std::max<std::size_t>(expected_k, 1)) /
-      (expected_k > kStreamingMaxK ? 16.0 : 4.0);
-  cell_ = std::max(1e-9, std::sqrt(per_cell / density));
-  nx_ = std::max(1L, static_cast<long>(std::ceil(w / cell_)));
-  ny_ = std::max(1L, static_cast<long>(std::ceil(h / cell_)));
-  // Cap the grid at ~4n cells. The per-axis ceil makes this a doubling loop
-  // rather than a closed form: a degenerate aspect ratio (e.g. collinear
-  // points) floors one axis at a single cell while the other explodes.
-  const long max_cells = 4 * static_cast<long>(members.size()) + 8;
-  while (nx_ * ny_ > max_cells) {
-    cell_ *= 2.0;
-    nx_ = std::max(1L, static_cast<long>(std::ceil(w / cell_)));
-    ny_ = std::max(1L, static_cast<long>(std::ceil(h / cell_)));
-  }
-
-  const std::size_t cells = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
-  std::vector<std::uint32_t> counts(cells, 0);
-  for (const std::uint32_t m : members) ++counts[cell_index(points_[m])];
-  offsets_.assign(cells + 1, 0);
-  for (std::size_t c = 0; c < cells; ++c) offsets_[c + 1] = offsets_[c] + counts[c];
-  order_.resize(members.size());
-  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const std::uint32_t m : members) order_[cursor[cell_index(points_[m])]++] = m;
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
 }
 
-/// Column/row of coordinate v along an axis of `cells` cells from `lo`,
-/// clamped in floating point first so that any finite v (however far off
-/// the grid) converts safely. Monotone in v.
-long GridKnn::clamped_cell(double v, double lo, long cells) const {
-  const double c = std::floor((v - lo) / cell_);
-  if (c <= 0.0) return 0;
-  if (c >= static_cast<double>(cells - 1)) return cells - 1;
-  return static_cast<long>(c);
+}  // namespace
+
+GridKnn::GridKnn(std::span<const Vec2> points, std::size_t expected_k) : expected_k_(expected_k) {
+  build(all_ids(points.size()), points);
+}
+
+GridKnn::GridKnn(std::span<const Vec2> points, CellSide side) : side_(side.value) {
+  if (!std::isfinite(side_) || side_ <= 0.0) {
+    throw std::invalid_argument("GridKnn: cell side must be finite and positive");
+  }
+  build(all_ids(points.size()), points);
+}
+
+GridKnn::GridKnn(std::span<const Vec2> points, std::span<const std::uint32_t> members,
+                 std::size_t expected_k)
+    : expected_k_(expected_k) {
+  std::vector<Vec2> coords;
+  coords.reserve(members.size());
+  for (const std::uint32_t m : members) {
+    require_id(m);
+    if (m >= points.size()) throw std::out_of_range("GridKnn: member id out of range");
+    coords.push_back(points[m]);
+  }
+  build(members, coords);
+}
+
+/// Bucket the points (ids[i] at coords[i]) into a fresh grid over their
+/// bounding box: counting sort by cell, so a cell's slots keep the input
+/// order. Validates everything before touching the grid, so a throw leaves
+/// it as it was.
+void GridKnn::build(std::span<const std::uint32_t> ids, std::span<const Vec2> coords) {
+  Vec2 lo{0.0, 0.0};
+  Vec2 hi{0.0, 0.0};
+  if (!coords.empty()) lo = hi = coords[0];
+  for (const Vec2 p : coords) {
+    require_finite_point(p);
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+  }
+  require_finite_extent(lo, hi);
+
+  offsets_.clear();
+  ids_.clear();
+  pts_.clear();
+  live_ = ids.size();
+  dead_ = 0;
+  lo_ = extent_lo_ = lo;
+  extent_hi_ = hi;
+  if (ids.empty()) return;
+
+  const double w = std::max(hi.x - lo.x, 1e-9);
+  const double h = std::max(hi.y - lo.y, 1e-9);
+  if (side_ > 0.0) {
+    cell_ = side_;
+  } else {
+    const double density = static_cast<double>(ids.size()) / (w * h);
+    // Target ~k/4 (streaming) or ~k/16 (selection) points per cell. A box
+    // whose area overflows makes the density 0 and this side infinite; one
+    // cell over the box is the same grid.
+    const double per_cell =
+        static_cast<double>(std::max<std::size_t>(expected_k_, 1)) /
+        (expected_k_ > kStreamingMaxK ? 16.0 : 4.0);
+    cell_ = std::min(std::max(1e-9, std::sqrt(per_cell / density)), std::max(w, h));
+  }
+  // Cap the grid at ~4n cells, counting in floating point so that a far
+  // outlier's cell count is never converted unchecked. The per-axis ceil
+  // makes this a doubling loop rather than a closed form: a degenerate
+  // aspect ratio (e.g. collinear points) floors one axis at a single cell
+  // while the other explodes.
+  const double max_cells = 4.0 * static_cast<double>(ids.size()) + 8.0;
+  double fx = std::max(1.0, std::ceil(w / cell_));
+  double fy = std::max(1.0, std::ceil(h / cell_));
+  while (fx * fy > max_cells) {
+    cell_ *= 2.0;
+    fx = std::max(1.0, std::ceil(w / cell_));
+    fy = std::max(1.0, std::ceil(h / cell_));
+  }
+  nx_ = static_cast<long>(fx);
+  ny_ = static_cast<long>(fy);
+
+  const std::size_t cells = static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
+  offsets_.assign(cells + 1, 0);
+  for (const Vec2 p : coords) ++offsets_[cell_index(p) + 1];
+  for (std::size_t c = 0; c < cells; ++c) offsets_[c + 1] += offsets_[c];
+  ids_.resize(ids.size());
+  pts_.resize(ids.size());
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint32_t slot = cursor[cell_index(coords[i])]++;
+    ids_[slot] = ids[i];
+    pts_[slot] = coords[i];
+  }
 }
 
 std::size_t GridKnn::cell_index(Vec2 p) const {
@@ -137,95 +174,83 @@ std::size_t GridKnn::cell_index(Vec2 p) const {
          static_cast<std::size_t>(ix);
 }
 
-void GridKnn::within_into(Vec2 q, double r2, std::vector<std::uint32_t>& out) const {
-  require_finite_query(q);
-  if (std::isnan(r2)) throw std::invalid_argument("GridKnn: query radius must not be NaN");
-  if (r2 < 0.0) return;
-  auto consider = [&](std::uint32_t idx) {
-    const double dx = points_[idx].x - q.x;
-    const double dy = points_[idx].y - q.y;
-    if (dx * dx + dy * dy <= r2) out.push_back(idx);
-  };
-  for (const std::uint32_t idx : spill_) consider(idx);
-  if (offsets_.empty()) return;
-  long x0 = 0, x1 = nx_ - 1, y0 = 0, y1 = ny_ - 1;
-  if (r2 < kInf) {
-    // A point passing the d2 test has |p.x - q.x| <= sqrt(r2) up to a few
-    // ulps; the padded radius covers those and the rounding of q.x -/+ r,
-    // so the computed q.x - r <= p.x <= q.x + r, and the monotone cell map
-    // that bucketed p (cell_index) puts it inside the scanned block.
-    const double r = std::sqrt(r2) * (1.0 + 1e-9) + 1e-12 * (std::abs(q.x) + std::abs(q.y));
-    x0 = clamped_cell(q.x - r, lo_.x, nx_);
-    x1 = clamped_cell(q.x + r, lo_.x, nx_);
-    y0 = clamped_cell(q.y - r, lo_.y, ny_);
-    y1 = clamped_cell(q.y + r, lo_.y, ny_);
+void GridKnn::insert_member(std::uint32_t id, Vec2 p) {
+  require_id(id);
+  require_finite_point(p);
+  Vec2 lo = p;
+  Vec2 hi = p;
+  if (!ids_.empty()) {
+    lo = {std::min(extent_lo_.x, p.x), std::min(extent_lo_.y, p.y)};
+    hi = {std::max(extent_hi_.x, p.x), std::max(extent_hi_.y, p.y)};
   }
-  for (long y = y0; y <= y1; ++y) {
-    const std::size_t base = static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_);
-    const std::uint32_t t0 = offsets_[base + static_cast<std::size_t>(x0)];
-    const std::uint32_t t1 = offsets_[base + static_cast<std::size_t>(x1) + 1];
-    for (std::uint32_t t = t0; t < t1; ++t) {
-      if (order_[t] != npos) consider(order_[t]);
-    }
-  }
-}
-
-void GridKnn::insert_member(std::uint32_t id) {
-  if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
-  if (!is_finite(points_[id])) {
-    throw std::invalid_argument("GridKnn: point coordinates must be finite");
-  }
-  spill_.push_back(id);
+  require_finite_extent(lo, hi);
+  extent_lo_ = lo;
+  extent_hi_ = hi;
+  ids_.push_back(id);
+  pts_.push_back(p);
   ++live_;
   maybe_compact();
 }
 
-void GridKnn::erase_member(std::uint32_t id) {
-  if (id >= points_.size()) throw std::out_of_range("GridKnn: member id out of range");
-  const auto it = std::find(spill_.begin(), spill_.end(), id);
-  if (it != spill_.end()) {
-    spill_.erase(it);
-    --live_;
-    maybe_compact();
-    return;
-  }
-  if (!offsets_.empty()) {
-    // The member's coordinates are unchanged since bucketing (contract), so
+void GridKnn::erase_member(std::uint32_t id, Vec2 p) {
+  require_id(id);
+  require_finite_point(p);
+  const auto spill = ids_.begin() + spill_begin();
+  if (const auto it = std::find(spill, ids_.end(), id); it != ids_.end()) {
+    pts_.erase(pts_.begin() + (it - ids_.begin()));
+    ids_.erase(it);
+  } else {
+    // A member's coordinates are unchanged since bucketing (contract), so
     // its cell is recomputable and the scan is one bucket.
-    const std::size_t c = cell_index(points_[id]);
-    for (std::uint32_t t = offsets_[c]; t < offsets_[c + 1]; ++t) {
-      if (order_[t] == id) {
-        order_[t] = npos;
-        ++dead_;
-        --live_;
-        maybe_compact();
-        return;
-      }
+    std::uint32_t t0 = 0;
+    std::uint32_t t1 = 0;
+    if (!offsets_.empty()) {
+      const std::size_t c = cell_index(p);
+      t0 = offsets_[c];
+      t1 = offsets_[c + 1];
     }
+    const auto last = ids_.begin() + t1;
+    const auto hit = std::find(ids_.begin() + t0, last, id);
+    if (hit == last) throw std::invalid_argument("GridKnn: erase_member of a non-member");
+    pts_[static_cast<std::size_t>(hit - ids_.begin())] = {kNan, kNan};
+    *hit = npos;
+    ++dead_;
   }
-  throw std::invalid_argument("GridKnn: erase_member of a non-member");
+  --live_;
+  maybe_compact();
 }
 
 /// Amortized O(1) per mutation: a rebuild costs O(live) and runs only once
 /// the pending (tombstone + spill) count reaches a fraction of the live
 /// set, which also bounds the per-query spill scan.
 void GridKnn::maybe_compact() {
-  const std::size_t pend = dead_ + spill_.size();
+  const std::size_t pend = pending();
   if (pend >= 8 && pend * 8 >= live_) compact();
 }
 
 void GridKnn::compact() {
-  const std::vector<std::uint32_t> members = live_members();
-  build(members, expected_k_);
+  std::vector<std::uint32_t> live;
+  live.reserve(live_);
+  for (std::uint32_t t = 0; t < ids_.size(); ++t) {
+    if (ids_[t] != npos) live.push_back(t);
+  }
+  std::sort(live.begin(), live.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return ids_[a] < ids_[b]; });
+  std::vector<std::uint32_t> ids(live.size());
+  std::vector<Vec2> coords(live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    ids[i] = ids_[live[i]];
+    coords[i] = pts_[live[i]];
+  }
+  build(ids, coords);
 }
 
 std::vector<std::uint32_t> GridKnn::live_members() const {
   std::vector<std::uint32_t> members;
   members.reserve(live_);
-  for (const std::uint32_t id : order_) {
+  for (const std::uint32_t id : ids_) {
     if (id != npos) members.push_back(id);
   }
-  members.insert(members.end(), spill_.begin(), spill_.end());
   std::sort(members.begin(), members.end());
   return members;
 }
@@ -242,12 +267,11 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
   double worst = kInf;
   SENS_OBS(ObsTally obs_tally;)
 
-  auto offer = [&](std::uint32_t idx) {
+  auto offer = [&](std::uint32_t t) {
     SENS_OBS(++obs_tally.candidates;)
-    const double dx = points_[idx].x - q.x;
-    const double dy = points_[idx].y - q.y;
-    const double d2 = dx * dx + dy * dy;
-    if (d2 > worst) return;
+    const double d2 = dist2_to(t, q);
+    if (!(d2 <= worst)) return;
+    const std::uint32_t idx = ids_[t];
     if (idx == exclude) return;
     // With a full set, a candidate tying the k-th distance only wins on a
     // smaller index.
@@ -268,7 +292,7 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
   // Spill entries are unbucketed (possibly outside the grid box), so they
   // are offered exhaustively up front — the ring bound below then only has
   // to be exact about *bucketed* points, which it is by construction.
-  for (const std::uint32_t idx : spill_) offer(idx);
+  for (std::uint32_t t = spill_begin(); t < ids_.size(); ++t) offer(t);
   if (offsets_.empty()) return cnt;
 
   const long cx = clamped_cell(q.x, lo_.x, nx_);
@@ -286,7 +310,7 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
     const std::uint32_t t0 = offsets_[base + static_cast<std::size_t>(xa)];
     const std::uint32_t t1 = offsets_[base + static_cast<std::size_t>(xb) + 1];
     for (std::uint32_t t = t0; t < t1; ++t) {
-      if (order_[t] != npos) offer(order_[t]);
+      if (ids_[t] != npos) offer(t);
     }
   };
 
@@ -303,7 +327,7 @@ std::size_t GridKnn::collect_small(Vec2 q, std::size_t k, std::uint32_t exclude,
     const std::size_t c =
         static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) + static_cast<std::size_t>(x);
     for (std::uint32_t t = offsets_[c]; t < offsets_[c + 1]; ++t) {
-      if (order_[t] != npos) offer(order_[t]);
+      if (ids_[t] != npos) offer(t);
     }
   };
 
@@ -347,19 +371,18 @@ void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
   double worst = kInf;
   SENS_OBS(ObsTally obs_tally;)
 
-  auto consider = [&](std::uint32_t idx) {
+  auto consider = [&](std::uint32_t t) {
     SENS_OBS(++obs_tally.candidates;)
+    const std::uint32_t idx = ids_[t];
     if (idx == exclude) return;
-    const double dx = points_[idx].x - q.x;
-    const double dy = points_[idx].y - q.y;
-    const double d2 = dx * dx + dy * dy;
-    if (d2 > worst) return;  // `>` keeps equal-distance ties in play
+    const double d2 = dist2_to(t, q);
+    if (!(d2 <= worst)) return;  // not `<`: equal-distance ties stay in play
     cands.push_back({d2, idx});
   };
 
   // Spill entries first and exhaustively (see collect_small): the ring
   // bound below is then exact because it only has to cover bucketed points.
-  for (const std::uint32_t idx : spill_) consider(idx);
+  for (std::uint32_t t = spill_begin(); t < ids_.size(); ++t) consider(t);
   if (offsets_.empty()) {
     finish_large(k, cands);
     return;
@@ -380,7 +403,7 @@ void GridKnn::collect_large(Vec2 q, std::size_t k, std::uint32_t exclude,
     const std::size_t c =
         static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) + static_cast<std::size_t>(x);
     for (std::uint32_t t = offsets_[c]; t < offsets_[c + 1]; ++t) {
-      if (order_[t] != npos) consider(order_[t]);
+      if (ids_[t] != npos) consider(t);
     }
   };
 
